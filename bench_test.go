@@ -120,7 +120,7 @@ func BenchmarkE4MeetRexecCourier(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sys.SiteAt(0).MeetClient(context.Background(), "noop", bc); err != nil {
+			if err := sys.SiteAt(0).Meet(context.Background(), "noop", bc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -134,7 +134,7 @@ func BenchmarkE4MeetRexecCourier(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sys.SiteAt(0).RemoteMeet(context.Background(), "site-1", "noop", bc); err != nil {
+			if err := sys.SiteAt(0).Meet(context.Background(), "noop", bc, core.At("site-1")); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -149,7 +149,7 @@ func BenchmarkE4MeetRexecCourier(b *testing.B) {
 			bc := folder.NewBriefcase()
 			bc.PutString(folder.HostFolder, "site-1")
 			bc.PutString(folder.ContactFolder, "noop")
-			if err := sys.SiteAt(0).MeetClient(context.Background(), core.AgRexec, bc); err != nil {
+			if err := sys.SiteAt(0).Meet(context.Background(), core.AgRexec, bc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -185,7 +185,7 @@ func BenchmarkE4MeetRexecCourier(b *testing.B) {
 			sys.Ring()
 			bc := folder.NewBriefcase()
 			b.StartTimer()
-			if err := sys.SiteAt(0).MeetClient(context.Background(), core.AgDiffusion, bc); err != nil {
+			if err := sys.SiteAt(0).Meet(context.Background(), core.AgDiffusion, bc); err != nil {
 				b.Fatal(err)
 			}
 			sys.Wait()
@@ -349,7 +349,7 @@ func BenchmarkGuardedMeet(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := s.MeetClient(context.Background(), "noop", bc); err != nil {
+			if err := s.Meet(context.Background(), "noop", bc); err != nil {
 				b.Fatal(err)
 			}
 		}

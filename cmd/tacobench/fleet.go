@@ -141,7 +141,7 @@ func fleetWorkload(nsites, agents, concurrency, payload int) (workload, error) {
 		n := seq.Add(1)
 		agentName := fx.names[int(n)%len(fx.names)]
 		issuer := sites[int(n)%len(sites)]
-		return issuer.MeetClient(context.Background(), agentName, bcs[worker])
+		return issuer.Meet(context.Background(), agentName, bcs[worker])
 	}}, nil
 }
 

@@ -323,7 +323,7 @@ func localWorkload(concurrency, payload int) workload {
 		func(*tacoma.MeetContext, *tacoma.Briefcase) error { return nil }))
 	bcs := workerBriefcases(concurrency, payload)
 	return workload{op: func(worker int) error {
-		return site.MeetClient(context.Background(), "noop", bcs[worker])
+		return site.Meet(context.Background(), "noop", bcs[worker])
 	}}
 }
 
@@ -352,7 +352,7 @@ func cabinetWorkload(concurrency, payload int) workload {
 		bc.PutString("REQ", fmt.Sprintf("client-%d", i))
 	}
 	return workload{op: func(worker int) error {
-		return site.MeetClient(context.Background(), "visit", bcs[worker])
+		return site.Meet(context.Background(), "visit", bcs[worker])
 	}}
 }
 
@@ -377,7 +377,7 @@ func remoteWorkload(concurrency, payload int) (workload, error) {
 	bcs := workerBriefcases(concurrency, payload)
 	return workload{
 		op: func(worker int) error {
-			return siteA.RemoteMeet(context.Background(), "bench-b", "noop", bcs[worker])
+			return siteA.Meet(context.Background(), "noop", bcs[worker], core.At("bench-b"))
 		},
 		cleanup: func() { epA.Close(); epB.Close() },
 	}, nil
@@ -402,7 +402,7 @@ func guardedWorkload(concurrency, payload int) (workload, error) {
 		}
 	}
 	return workload{op: func(worker int) error {
-		return site.MeetClient(context.Background(), "visit", bcs[worker])
+		return site.Meet(context.Background(), "visit", bcs[worker])
 	}}, nil
 }
 
@@ -422,7 +422,7 @@ func scriptWorkload(concurrency, payload int, src string) workload {
 	return workload{op: func(worker int) error {
 		bc := bcs[worker]
 		bc.Ensure(tacoma.CodeFolder).PushString(src)
-		return site.MeetClient(context.Background(), tacoma.AgTacl, bc)
+		return site.Meet(context.Background(), tacoma.AgTacl, bc)
 	}}
 }
 
@@ -653,7 +653,7 @@ func durableWorkload(payload int, naive, replicated bool) (workload, error) {
 		op: func(worker int) error {
 			seqs[worker]++
 			bcs[worker].PutString("REQ", fmt.Sprintf("%d/%d", worker, seqs[worker]))
-			return site.MeetClient(context.Background(), "deliver", bcs[worker])
+			return site.Meet(context.Background(), "deliver", bcs[worker])
 		},
 		cleanup:     teardown,
 		concurrency: durableConcurrency,

@@ -1,13 +1,6 @@
 package main
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-
-	"repro/internal/core"
-	"repro/internal/vnet"
-)
+import "testing"
 
 func TestPeerListSet(t *testing.T) {
 	var p peerList
@@ -25,38 +18,5 @@ func TestPeerListSet(t *testing.T) {
 	}
 	if err := p.Set("missing-equals"); err == nil {
 		t.Fatal("malformed peer accepted")
-	}
-}
-
-func TestFlushCabinetRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cabinet.bin")
-
-	net := vnet.NewNetwork()
-	s := core.NewSite(net.AddNode("persist-test"), core.SiteConfig{})
-	s.Cabinet().AppendString("MBOX:alice", "a message")
-	s.Cabinet().AppendString("VISITED", "roamer-1")
-	if err := flushCabinet(s, path); err != nil {
-		t.Fatal(err)
-	}
-	// No .tmp residue after an atomic flush.
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind")
-	}
-
-	s2 := core.NewSite(net.AddNode("persist-test-2"), core.SiteConfig{})
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := s2.Cabinet().Load(f); err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Cabinet().ContainsString("MBOX:alice", "a message") {
-		t.Fatal("mailbox lost across flush/load")
-	}
-	if !s2.Cabinet().ContainsString("VISITED", "roamer-1") {
-		t.Fatal("visit marks lost across flush/load")
 	}
 }

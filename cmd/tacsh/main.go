@@ -126,7 +126,7 @@ func runRemote(ctx context.Context, at string, peers peerList, src, authSecret, 
 	} else {
 		bc.Ensure(folder.CodeFolder).PushString(src)
 	}
-	if err := client.RemoteMeet(ctx, vnet.SiteID(at), core.AgTacl, bc); err != nil {
+	if err := client.Meet(ctx, core.AgTacl, bc, core.At(vnet.SiteID(at))); err != nil {
 		return nil, err
 	}
 	return bc, nil

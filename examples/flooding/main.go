@@ -93,7 +93,7 @@ func main() {
 	})
 	bc := folder.NewBriefcase()
 	bc.PutString(folder.ContactFolder, "deliver")
-	if err := sys.SiteAt(0).MeetClient(context.Background(), core.AgDiffusion, bc); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), core.AgDiffusion, bc); err != nil {
 		log.Fatal(err)
 	}
 	sys.Wait()

@@ -52,7 +52,7 @@ func main() {
 	spend := func() error {
 		bc := folder.NewBriefcase()
 		bc.Put(cash.CashFolder, folder.OfStrings(bill.String()))
-		return bank.Site.MeetClient(ctx, cash.AgValidator, bc)
+		return bank.Site.Meet(ctx, cash.AgValidator, bc)
 	}
 	if err := spend(); err != nil {
 		log.Fatal(err)

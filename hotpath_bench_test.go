@@ -54,7 +54,7 @@ func BenchmarkMeetHotPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sys.SiteAt(0).MeetClient(context.Background(), "noop", bc); err != nil {
+			if err := sys.SiteAt(0).Meet(context.Background(), "noop", bc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -68,7 +68,7 @@ func BenchmarkMeetHotPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := s.MeetClient(context.Background(), "visit", bc); err != nil {
+			if err := s.Meet(context.Background(), "visit", bc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -94,7 +94,7 @@ func BenchmarkMeetHotPath(b *testing.B) {
 			for pb.Next() {
 				name := fmt.Sprintf("svc-%d", i%agents)
 				i++
-				if err := s.MeetClient(context.Background(), name, bc); err != nil {
+				if err := s.Meet(context.Background(), name, bc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -150,7 +150,7 @@ func BenchmarkMeetHotPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sys.SiteAt(0).RemoteMeet(context.Background(), "site-1", "noop", bc); err != nil {
+			if err := sys.SiteAt(0).Meet(context.Background(), "noop", bc, core.At("site-1")); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -174,7 +174,7 @@ func BenchmarkScriptedMeet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bc.Ensure(folder.CodeFolder).PushString(core.ScriptWorkloadSrc)
-		if err := s.MeetClient(context.Background(), core.AgTacl, bc); err != nil {
+		if err := s.Meet(context.Background(), core.AgTacl, bc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func benchRemoteMeetTCP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := siteA.RemoteMeet(context.Background(), "site-b", "noop", bc); err != nil {
+		if err := siteA.Meet(context.Background(), "noop", bc, core.At("site-b")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,7 +264,7 @@ func BenchmarkDurableMeet(b *testing.B) {
 					p.Push(bytes.Repeat([]byte("p"), 64))
 					bc.Put("PAYLOAD", p)
 					for remaining.Add(-1) >= 0 {
-						if err := s.MeetClient(context.Background(), "deliver", bc); err != nil {
+						if err := s.Meet(context.Background(), "deliver", bc); err != nil {
 							b.Error(err)
 							return
 						}

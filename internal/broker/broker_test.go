@@ -152,7 +152,7 @@ func TestBrokerAgentOps(t *testing.T) {
 	do := func(fill func(bc *folder.Briefcase)) (*folder.Briefcase, error) {
 		bc := folder.NewBriefcase()
 		fill(bc)
-		err := bsite.MeetClient(context.Background(), AgBroker, bc)
+		err := bsite.Meet(context.Background(), AgBroker, bc)
 		return bc, err
 	}
 
@@ -220,7 +220,7 @@ func TestBrokerAgentGossipExchange(t *testing.T) {
 	bc := folder.NewBriefcase()
 	bc.PutString(OpFolder, "gossip")
 	bc.Put(TableFolder, folder.OfStrings(b0.Table()...))
-	if err := sys.SiteAt(0).RemoteMeet(context.Background(), "site-1", AgBroker, bc); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgBroker, bc, core.At("site-1")); err != nil {
 		t.Fatal(err)
 	}
 	// The reply carries b1's merged table; fold it into b0.
@@ -251,7 +251,7 @@ func TestProtectedAgentFlow(t *testing.T) {
 	bc.PutString(OpFolder, "request")
 	bc.PutString(ServiceFolder, "oracle")
 	bc.Put(RequestFolder, folder.Of(folder.EncodeBriefcase(inner)))
-	if err := site.MeetClient(context.Background(), AgBroker, bc); err != nil {
+	if err := site.Meet(context.Background(), AgBroker, bc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -260,7 +260,7 @@ func TestProtectedAgentFlow(t *testing.T) {
 	drainReq.PutString(OpFolder, "drain")
 	drainReq.PutString(ServiceFolder, "oracle")
 	drainReq.PutString(ProviderFolder, "wrong-name")
-	if err := site.MeetClient(context.Background(), AgBroker, drainReq); !errors.Is(err, ErrBadRequest) {
+	if err := site.Meet(context.Background(), AgBroker, drainReq); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("drain with wrong name: %v", err)
 	}
 
@@ -268,7 +268,7 @@ func TestProtectedAgentFlow(t *testing.T) {
 	drainReq.PutString(OpFolder, "drain")
 	drainReq.PutString(ServiceFolder, "oracle")
 	drainReq.PutString(ProviderFolder, secret)
-	if err := site.MeetClient(context.Background(), AgBroker, drainReq); err != nil {
+	if err := site.Meet(context.Background(), AgBroker, drainReq); err != nil {
 		t.Fatal(err)
 	}
 	reqs, _ := drainReq.Folder(RequestsFolder)
@@ -289,7 +289,7 @@ func TestProtectedAgentFlow(t *testing.T) {
 	drain2.PutString(OpFolder, "drain")
 	drain2.PutString(ServiceFolder, "oracle")
 	drain2.PutString(ProviderFolder, secret)
-	if err := site.MeetClient(context.Background(), AgBroker, drain2); err != nil {
+	if err := site.Meet(context.Background(), AgBroker, drain2); err != nil {
 		t.Fatal(err)
 	}
 	if reqs2, _ := drain2.Folder(RequestsFolder); reqs2.Len() != 0 {
@@ -305,7 +305,7 @@ func TestRequestForUnknownAlias(t *testing.T) {
 	bc.PutString(OpFolder, "request")
 	bc.PutString(ServiceFolder, "nobody")
 	bc.Put(RequestFolder, folder.OfStrings("x"))
-	if err := site.MeetClient(context.Background(), AgBroker, bc); !errors.Is(err, ErrBadRequest) {
+	if err := site.Meet(context.Background(), AgBroker, bc); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -315,7 +315,7 @@ func TestMonitorOnDemand(t *testing.T) {
 	m := NewMonitor(sys.SiteAt(0))
 	m.LoadFn = func() int64 { return 42 }
 	bc := folder.NewBriefcase()
-	if err := sys.SiteAt(0).MeetClient(context.Background(), AgMonitor, bc); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgMonitor, bc); err != nil {
 		t.Fatal(err)
 	}
 	if l, _ := bc.GetString(LoadFolder); l != "42" {
@@ -428,7 +428,7 @@ func TestTicketAgent(t *testing.T) {
 	bc.PutString(OpFolder, "issue")
 	bc.PutString(ServiceFolder, "svc")
 	bc.PutString(UsesFolder, "1")
-	if err := site.MeetClient(context.Background(), AgTicket, bc); err != nil {
+	if err := site.Meet(context.Background(), AgTicket, bc); err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := bc.GetString(TicketFolder)
@@ -440,7 +440,7 @@ func TestTicketAgent(t *testing.T) {
 		p := folder.NewBriefcase()
 		p.PutString(OpFolder, "punch")
 		p.PutString(TicketFolder, raw)
-		return site.MeetClient(context.Background(), AgTicket, p)
+		return site.Meet(context.Background(), AgTicket, p)
 	}
 	if err := punch(); err != nil {
 		t.Fatal(err)
@@ -477,7 +477,7 @@ func TestEndToEndScheduling(t *testing.T) {
 			t.Fatal(err)
 		}
 		bc := folder.NewBriefcase()
-		if err := sys.SiteAt(0).RemoteMeet(context.Background(), vnetSiteID(site), agent, bc); err != nil {
+		if err := sys.SiteAt(0).Meet(context.Background(), agent, bc, core.At(vnetSiteID(site))); err != nil {
 			t.Fatal(err)
 		}
 	}

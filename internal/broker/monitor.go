@@ -51,7 +51,7 @@ func (m *Monitor) ReportTo(ctx context.Context, brokerSite vnet.SiteID) error {
 	bc.PutString(SiteFolder, string(m.site.ID()))
 	bc.PutString(LoadFolder, strconv.FormatInt(m.LoadFn(), 10))
 	bc.PutString(SeqFolder, strconv.FormatInt(m.seq.Add(1), 10))
-	if err := m.site.RemoteMeet(ctx, brokerSite, AgBroker, bc); err != nil {
+	if err := m.site.Meet(ctx, AgBroker, bc, core.At(brokerSite)); err != nil {
 		return fmt.Errorf("monitor %s: %w", m.site.ID(), err)
 	}
 	return nil

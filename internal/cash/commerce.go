@@ -65,7 +65,7 @@ func serviceHash(service string) string {
 func notarize(ctx context.Context, b *Bank, st Statement) error {
 	bc := folder.NewBriefcase()
 	bc.Put(StatementFolder, folder.OfStrings(st.Encode()))
-	return b.Site.MeetClient(ctx, AgNotary, bc)
+	return b.Site.Meet(ctx, AgNotary, bc)
 }
 
 // validate presents bills to the bank's validator, returning fresh ones.
@@ -79,7 +79,7 @@ func validate(ctx context.Context, b *Bank, ecus []ECU, split []int64) ([]ECU, e
 		}
 		bc.Put(SplitFolder, sf)
 	}
-	if err := b.Site.MeetClient(ctx, AgValidator, bc); err != nil {
+	if err := b.Site.Meet(ctx, AgValidator, bc); err != nil {
 		return nil, err
 	}
 	cf, err := bc.Folder(CashFolder)
@@ -94,7 +94,7 @@ func Audit(ctx context.Context, b *Bank, contract, claim string) (verdict, reaso
 	bc := folder.NewBriefcase()
 	bc.PutString(ContractFolder, contract)
 	bc.PutString(ClaimFolder, claim)
-	if err := b.Site.MeetClient(ctx, AgAuditor, bc); err != nil {
+	if err := b.Site.Meet(ctx, AgAuditor, bc); err != nil {
 		return "", "", err
 	}
 	vf, err := bc.Folder(VerdictFolder)

@@ -39,7 +39,7 @@ func TestValidatorAgentRoundTrip(t *testing.T) {
 	e, _ := b.Mint.Issue(100)
 	bc := folder.NewBriefcase()
 	bc.Put(CashFolder, folder.OfStrings(e.String()))
-	if err := b.Site.MeetClient(context.Background(), AgValidator, bc); err != nil {
+	if err := b.Site.Meet(context.Background(), AgValidator, bc); err != nil {
 		t.Fatal(err)
 	}
 	cf, _ := bc.Folder(CashFolder)
@@ -58,7 +58,7 @@ func TestValidatorAgentRejectsDoubleSpend(t *testing.T) {
 	spend := func() error {
 		bc := folder.NewBriefcase()
 		bc.Put(CashFolder, folder.OfStrings(e.String()))
-		return b.Site.MeetClient(context.Background(), AgValidator, bc)
+		return b.Site.Meet(context.Background(), AgValidator, bc)
 	}
 	if err := spend(); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestValidatorAgentConfiscatesOnFailure(t *testing.T) {
 	forged := ECU{Amount: 7, Serial: newSerial()}
 	bc := folder.NewBriefcase()
 	bc.Put(CashFolder, folder.OfStrings(forged.String()))
-	if err := b.Site.MeetClient(context.Background(), AgValidator, bc); err == nil {
+	if err := b.Site.Meet(context.Background(), AgValidator, bc); err == nil {
 		t.Fatal("forged bill validated")
 	}
 	cf, _ := bc.Folder(CashFolder)
@@ -89,7 +89,7 @@ func TestValidatorAgentSplit(t *testing.T) {
 	bc := folder.NewBriefcase()
 	bc.Put(CashFolder, folder.OfStrings(e.String()))
 	bc.Put(SplitFolder, folder.OfStrings("75", "25"))
-	if err := b.Site.MeetClient(context.Background(), AgValidator, bc); err != nil {
+	if err := b.Site.Meet(context.Background(), AgValidator, bc); err != nil {
 		t.Fatal(err)
 	}
 	cf, _ := bc.Folder(CashFolder)
@@ -108,7 +108,7 @@ func TestNotaryStoresAndVerifies(t *testing.T) {
 	st := Sign(alice.Key, "c1", "alice", PhasePay, "aabb")
 	bc := folder.NewBriefcase()
 	bc.Put(StatementFolder, folder.OfStrings(st.Encode()))
-	if err := b.Site.MeetClient(context.Background(), AgNotary, bc); err != nil {
+	if err := b.Site.Meet(context.Background(), AgNotary, bc); err != nil {
 		t.Fatal(err)
 	}
 	if b.Site.Cabinet().FolderLen("NOTARY:c1") != 1 {
@@ -119,7 +119,7 @@ func TestNotaryStoresAndVerifies(t *testing.T) {
 	forged.Data = "tampered"
 	bc2 := folder.NewBriefcase()
 	bc2.Put(StatementFolder, folder.OfStrings(forged.Encode()))
-	if err := b.Site.MeetClient(context.Background(), AgNotary, bc2); err == nil {
+	if err := b.Site.Meet(context.Background(), AgNotary, bc2); err == nil {
 		t.Fatal("notary accepted forged statement")
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,9 +169,9 @@ type Site struct {
 	rngSeed uint64
 	rngSeq  atomic.Uint64
 
-	// Per-peer wire protocol state: the content-addressed folder cache and
-	// the sticky "peer speaks only v1" flag (see RemoteMeet). One entry per
-	// peer this site has exchanged meets with, in either direction.
+	// Per-peer wire protocol state: the content-addressed folder cache (see
+	// remoteMeet). One entry per peer this site has exchanged meets with, in
+	// either direction.
 	wiremu    sync.RWMutex
 	wirePeers map[vnet.SiteID]*peerWire
 	wireStats wireCounters
@@ -200,21 +199,7 @@ type peerWire struct {
 	// with this peer; built once at peer creation so the hot path does not
 	// allocate a closure per meet.
 	rec folder.DeltaRecorder
-	// v1 is set when the peer answered "unknown message kind" to a meet2:
-	// subsequent remote meets to it skip straight to the legacy frame.
-	// The demotion is deliberately not permanent — see v1Seq.
-	v1 atomic.Bool
-	// v1Seq counts meets served on the v1 path; every v1ReprobeEvery'th
-	// meet retries v2. The unknown-kind signature is matched on error
-	// *text*, which a hostile agent at the destination can forge in its
-	// own meet error; periodic re-probing turns a forged demotion from a
-	// permanent protocol downgrade into a bounded blip (and lets a peer
-	// that upgraded from v1 in place get its delta lane back).
-	v1Seq atomic.Uint64
 }
-
-// v1ReprobeEvery is how often a v1-demoted peer is retried with v2.
-const v1ReprobeEvery = 256
 
 // maxWirePeers bounds the per-peer wire state map. The map is keyed by the
 // *claimed* sender site ID, which on an open (unauthenticated) endpoint is
@@ -253,20 +238,19 @@ func (s *Site) peerWire(id vnet.SiteID) *peerWire {
 
 // wireCounters aggregates delta-protocol accounting across all peers.
 type wireCounters struct {
-	meetsV2, meetsV1     atomic.Int64
+	meetsV2              atomic.Int64
 	misses               atomic.Int64
 	fullFolders          atomic.Int64
 	fullBytes            atomic.Int64
 	refFolders           atomic.Int64
 	refSavedBytes        atomic.Int64
-	legacyPeerFallbacks  atomic.Int64
 	forcedFullRetransmit atomic.Int64
 }
 
 // WireStats is a snapshot of the site's delta-protocol accounting.
 type WireStats struct {
-	// MeetsV2/MeetsV1 count outbound remote meets by protocol version.
-	MeetsV2, MeetsV1 int64
+	// MeetsV2 counts outbound remote meets.
+	MeetsV2 int64
 	// Misses counts miss round trips (a ref the peer could not resolve).
 	Misses int64
 	// FullFolders/FullBytes count delta-eligible folders (and their
@@ -278,22 +262,18 @@ type WireStats struct {
 	// ForcedFullRetransmits counts miss retries that re-shipped every
 	// eligible folder in full.
 	ForcedFullRetransmits int64
-	// LegacyPeerFallbacks counts peers demoted to the v1 protocol.
-	LegacyPeerFallbacks int64
 }
 
 // WireStats returns a snapshot of the site's wire accounting.
 func (s *Site) WireStats() WireStats {
 	return WireStats{
 		MeetsV2:               s.wireStats.meetsV2.Load(),
-		MeetsV1:               s.wireStats.meetsV1.Load(),
 		Misses:                s.wireStats.misses.Load(),
 		FullFolders:           s.wireStats.fullFolders.Load(),
 		FullBytes:             s.wireStats.fullBytes.Load(),
 		RefFolders:            s.wireStats.refFolders.Load(),
 		RefSavedBytes:         s.wireStats.refSavedBytes.Load(),
 		ForcedFullRetransmits: s.wireStats.forcedFullRetransmit.Load(),
-		LegacyPeerFallbacks:   s.wireStats.legacyPeerFallbacks.Load(),
 	}
 }
 
@@ -407,7 +387,7 @@ func (s *Site) DurableSync() error {
 func (s *Site) Endpoint() vnet.Endpoint { return s.endpoint }
 
 // HandleKind installs a handler for one network message kind, extending the
-// kernel's own dispatch (meet, meet2, ping). The mesh layer uses it to serve
+// kernel's own dispatch (meet2, ping). The mesh layer uses it to serve
 // gossip frames over the same endpoint meets travel on. Installing nil
 // removes the kind. Kinds the kernel serves itself cannot be overridden.
 func (s *Site) HandleKind(kind string, h vnet.HandlerFunc) {
@@ -619,9 +599,16 @@ func (s *Site) meet(mc *MeetContext, agent string, bc *folder.Briefcase) error {
 
 // remoteMeet executes the named agent at another site, sending the
 // briefcase there and folding the mutated briefcase back on success. This
-// is the primitive under rexec and the At(dest) meet option; ordinary
-// agents use the rexec agent. See RemoteMeet in meet.go for the wire
-// format notes.
+// is the primitive under rexec and the At(dest) meet option.
+//
+// The briefcase travels in the delta format (see wire.go): folders the peer
+// already holds ship as content refs instead of bytes, so a signed
+// multi-hop agent stops re-shipping its own code after the first hop over
+// a link. Pins accumulate the stable encodings of every eligible folder
+// this call ships or references, and resolve the reply's refs without
+// depending on cache residency; a miss reply (the peer evicted something we
+// reffed) forgets the missed hashes and retries once with refs disabled,
+// which cannot miss again.
 func (s *Site) remoteMeet(ctx context.Context, dest vnet.SiteID, agent string, bc *folder.Briefcase) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -631,71 +618,6 @@ func (s *Site) remoteMeet(ctx context.Context, dest vnet.SiteID, agent string, b
 		return s.meet(&MeetContext{Ctx: ctx}, agent, bc)
 	}
 	pw := s.peerWire(dest)
-	if pw.v1.Load() && pw.v1Seq.Add(1)%v1ReprobeEvery != 0 {
-		return s.remoteMeetV1(ctx, dest, agent, bc)
-	}
-	err := s.remoteMeetV2(ctx, dest, agent, bc, pw)
-	if err != nil && isUnknownKind(err, dest) && s.peerRefusesMeet2(ctx, dest) {
-		// The probe confirmed the peer really cannot dispatch meet2, which
-		// means the failed call above never executed — resending it on the
-		// legacy frame cannot double-run the meet.
-		if !pw.v1.Swap(true) {
-			s.wireStats.legacyPeerFallbacks.Add(1) // count peers, not events
-		}
-		return s.remoteMeetV1(ctx, dest, agent, bc)
-	}
-	if err == nil && pw.v1.Load() {
-		pw.v1.Store(false) // v2 works (again); leave the legacy lane
-	}
-	return err
-}
-
-// peerRefusesMeet2 sends a deliberately empty meet2 frame — which cannot
-// dispatch any meet — and reports whether the peer rejects the message kind
-// itself. The fallback match above is on error *text*, which an agent at
-// the destination can forge inside its own meet error; acting on the text
-// alone would resend (and so double-execute) a meet that already ran. The
-// probe separates the two cases: a v1 peer refuses the kind, a v2 peer
-// fails to decode the empty payload instead.
-func (s *Site) peerRefusesMeet2(ctx context.Context, dest vnet.SiteID) bool {
-	_, err := s.endpoint.Call(ctx, dest, msgMeet2, nil)
-	return err != nil && isUnknownKind(err, dest)
-}
-
-// isUnknownKind reports whether err is dest refusing the meet2 message kind
-// — the v1-peer signature. The site name is matched so a nested remote
-// meet's failure deeper in an itinerary cannot demote the wrong peer.
-func isUnknownKind(err error, dest vnet.SiteID) bool {
-	return strings.Contains(err.Error(),
-		fmt.Sprintf("site %s: unknown message kind %q", dest, msgMeet2))
-}
-
-// remoteMeetV1 is the legacy remote meet: whole briefcase bytes both ways.
-func (s *Site) remoteMeetV1(ctx context.Context, dest vnet.SiteID, agent string, bc *folder.Briefcase) error {
-	s.wireStats.meetsV1.Add(1)
-	// The request is framed into a pooled buffer: Endpoint.Call contracts
-	// not to retain the payload once it returns, so the buffer is recycled
-	// immediately after the exchange.
-	payload := appendMeetRequest(folder.GetBuffer(), agent, string(s.id), bc)
-	resp, err := s.endpoint.Call(ctx, dest, msgMeet, payload)
-	folder.PutBuffer(payload)
-	if err != nil {
-		return fmt.Errorf("core: remote meet %s at %s: %w", agent, dest, err)
-	}
-	out, err := folder.DecodeBriefcase(resp)
-	if err != nil {
-		return fmt.Errorf("core: remote meet %s at %s: bad reply: %w", agent, dest, err)
-	}
-	bc.ReplaceAll(out)
-	return nil
-}
-
-// remoteMeetV2 performs one delta-framed remote meet. Pins accumulate the
-// stable encodings of every eligible folder this call ships or references,
-// and resolve the reply's refs without depending on cache residency; a
-// miss reply (the peer evicted something we reffed) forgets the missed
-// hashes and retries once with refs disabled, which cannot miss again.
-func (s *Site) remoteMeetV2(ctx context.Context, dest vnet.SiteID, agent string, bc *folder.Briefcase, pw *peerWire) error {
 	s.wireStats.meetsV2.Add(1)
 	// The pin map is allocated (from the pool) only when something is
 	// actually pinned: meets whose briefcases carry no delta-eligible
@@ -776,8 +698,7 @@ func (s *Site) Go(fn func()) { s.sched.Spawn(fn) }
 
 // Message kinds on the wire.
 const (
-	msgMeet  = "meet"
-	msgMeet2 = "meet2" // delta-framed meet, wire protocol v2
+	msgMeet2 = "meet2" // delta-framed meet (see wire.go)
 	msgPing  = "ping"
 )
 
@@ -786,15 +707,6 @@ func (s *Site) handleCall(from vnet.SiteID, kind string, payload []byte) ([]byte
 	switch kind {
 	case msgPing:
 		return []byte(strconv.FormatInt(s.endpoint.Incarnation(), 10)), nil
-	case msgMeet:
-		agent, origin, bc, err := decodeMeetRequest(payload)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := s.serveMeet(agent, origin, bc); err != nil {
-			return nil, err
-		}
-		return folder.EncodeBriefcase(bc), nil
 	case msgMeet2:
 		return s.serveMeet2(from, payload)
 	default:
@@ -805,42 +717,6 @@ func (s *Site) handleCall(from vnet.SiteID, kind string, payload []byte) ([]byte
 	}
 }
 
-// serveMeet runs the firewall check and the meet for a network arrival.
-func (s *Site) serveMeet(agent, origin string, bc *folder.Briefcase) (*folder.Briefcase, error) {
-	if err := s.checkArrival(agent, origin, bc); err != nil {
-		return nil, err
-	}
-	if err := s.dispatchArrival(agent, origin, bc); err != nil {
-		return nil, err
-	}
-	return bc, nil
-}
-
-// checkArrival is the firewall check: a guarded site screens inbound agents
-// at the network boundary before any local meet is dispatched.
-func (s *Site) checkArrival(agent, origin string, bc *folder.Briefcase) error {
-	if g := s.Guard(); g != nil {
-		if err := g.CheckArrival(origin, agent, bc); err != nil {
-			return fmt.Errorf("%w: arrival from %s at %s: %v", ErrRefused, origin, s.id, err)
-		}
-	}
-	return nil
-}
-
-// dispatchArrival runs the meet for an admitted network arrival. Meet
-// derives the activation's From from mc.Agent, so the network caller's
-// identity goes there: agents arriving over the wire are "rexec@<origin>"
-// to the destination's policies (admission, billing).
-func (s *Site) dispatchArrival(agent, origin string, bc *folder.Briefcase) error {
-	mc := &MeetContext{
-		Ctx:   context.Background(),
-		Site:  s,
-		Agent: "rexec@" + origin,
-		Depth: 0,
-	}
-	return s.Meet(mc, agent, bc)
-}
-
 // serveMeet2 serves one delta-framed meet: resolve refs against the peer
 // cache (answering a miss, without executing, when the caller reffed
 // something we no longer hold), run the meet, and delta-encode the reply.
@@ -848,7 +724,7 @@ func (s *Site) dispatchArrival(agent, origin string, bc *folder.Briefcase) error
 // caller can always resolve them.
 func (s *Site) serveMeet2(from vnet.SiteID, payload []byte) ([]byte, error) {
 	pw := s.peerWire(from)
-	var pins map[folder.Hash][]byte // lazily pooled, as in remoteMeetV2
+	var pins map[folder.Hash][]byte // lazily pooled, as in remoteMeet
 	defer func() {
 		if pins != nil {
 			putPins(pins)
@@ -890,8 +766,12 @@ func (s *Site) serveMeet2(from vnet.SiteID, payload []byte) ([]byte, error) {
 		s.wireStats.misses.Add(1)
 		return appendMissReply(nil, missing), nil
 	}
-	if err := s.checkArrival(agent, origin, bc); err != nil {
-		return nil, err
+	// The firewall check: a guarded site screens inbound agents at the
+	// network boundary before any local meet is dispatched.
+	if g := s.Guard(); g != nil {
+		if err := g.CheckArrival(origin, agent, bc); err != nil {
+			return nil, fmt.Errorf("%w: arrival from %s at %s: %v", ErrRefused, origin, s.id, err)
+		}
 	}
 	// Admitted: make the collected segments durable (the sender inserted
 	// them optimistically on ship; a refusal above leaves it believing the
@@ -899,7 +779,11 @@ func (s *Site) serveMeet2(from vnet.SiteID, payload []byte) ([]byte, error) {
 	for _, p := range admit {
 		pins[p.h] = pw.cache.PutCopy(p.h, p.enc)
 	}
-	if err := s.dispatchArrival(agent, origin, bc); err != nil {
+	// The network caller's identity goes in mc.Agent, from which the meet
+	// derives the activation's From: agents arriving over the wire are
+	// "rexec@<origin>" to the destination's policies (admission, billing).
+	mc := &MeetContext{Ctx: context.Background(), Site: s, Agent: "rexec@" + origin}
+	if err := s.meet(mc, agent, bc); err != nil {
 		return nil, err
 	}
 	refs := func(h folder.Hash) ([]byte, bool) {

@@ -31,7 +31,7 @@ func TestLocalMeetSharesBriefcase(t *testing.T) {
 	bc := folder.NewBriefcase()
 	bc.PutString("A", "foo")
 	bc.PutString("B", "bar")
-	if err := s.MeetClient(context.Background(), "adder", bc); err != nil {
+	if err := s.Meet(context.Background(), "adder", bc); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := bc.GetString(folder.ResultFolder)
@@ -42,7 +42,7 @@ func TestLocalMeetSharesBriefcase(t *testing.T) {
 
 func TestMeetUnknownAgent(t *testing.T) {
 	sys := testSystem(t, 1)
-	err := sys.SiteAt(0).MeetClient(context.Background(), "ghost", folder.NewBriefcase())
+	err := sys.SiteAt(0).Meet(context.Background(), "ghost", folder.NewBriefcase())
 	if !errors.Is(err, ErrNoAgent) {
 		t.Fatalf("err = %v, want ErrNoAgent", err)
 	}
@@ -59,7 +59,7 @@ func TestMeetContextIdentity(t *testing.T) {
 	s.Register("outer", AgentFunc(func(mc *MeetContext, bc *folder.Briefcase) error {
 		return mc.Site.Meet(mc, "inner", bc)
 	}))
-	if err := s.MeetClient(context.Background(), "outer", folder.NewBriefcase()); err != nil {
+	if err := s.Meet(context.Background(), "outer", folder.NewBriefcase()); err != nil {
 		t.Fatal(err)
 	}
 	if sawFrom != "outer" || sawAgent != "inner" {
@@ -73,7 +73,7 @@ func TestMeetDepthBounded(t *testing.T) {
 	s.Register("loop", AgentFunc(func(mc *MeetContext, bc *folder.Briefcase) error {
 		return mc.Site.Meet(mc, "loop", bc)
 	}))
-	err := s.MeetClient(context.Background(), "loop", folder.NewBriefcase())
+	err := s.Meet(context.Background(), "loop", folder.NewBriefcase())
 	if !errors.Is(err, ErrMeetDepth) {
 		t.Fatalf("err = %v, want ErrMeetDepth", err)
 	}
@@ -91,10 +91,10 @@ func TestAdmissionPolicy(t *testing.T) {
 	})
 	s.Register("banned", AgentFunc(func(*MeetContext, *folder.Briefcase) error { return nil }))
 	s.Register("fine", AgentFunc(func(*MeetContext, *folder.Briefcase) error { return nil }))
-	if err := s.MeetClient(context.Background(), "banned", folder.NewBriefcase()); !errors.Is(err, ErrRefused) {
+	if err := s.Meet(context.Background(), "banned", folder.NewBriefcase()); !errors.Is(err, ErrRefused) {
 		t.Fatalf("banned err = %v", err)
 	}
-	if err := s.MeetClient(context.Background(), "fine", folder.NewBriefcase()); err != nil {
+	if err := s.Meet(context.Background(), "fine", folder.NewBriefcase()); err != nil {
 		t.Fatalf("fine err = %v", err)
 	}
 }
@@ -108,7 +108,7 @@ func TestRemoteMeetMutatesBriefcase(t *testing.T) {
 	}))
 	bc := folder.NewBriefcase()
 	bc.PutString("PAYLOAD", "data")
-	if err := a.RemoteMeet(context.Background(), b.ID(), "stamper", bc); err != nil {
+	if err := a.Meet(context.Background(), "stamper", bc, At(b.ID())); err != nil {
 		t.Fatal(err)
 	}
 	stamp, _ := bc.GetString("STAMP")
@@ -129,7 +129,7 @@ func TestRemoteMeetToSelfShortCircuits(t *testing.T) {
 	}))
 	before := sys.Net.Stats().Messages
 	bc := folder.NewBriefcase()
-	if err := s.RemoteMeet(context.Background(), s.ID(), "echo", bc); err != nil {
+	if err := s.Meet(context.Background(), "echo", bc, At(s.ID())); err != nil {
 		t.Fatal(err)
 	}
 	if sys.Net.Stats().Messages != before {
@@ -146,7 +146,7 @@ func TestRemoteMeetErrorPropagates(t *testing.T) {
 	b.Register("failing", AgentFunc(func(*MeetContext, *folder.Briefcase) error {
 		return errors.New("service exploded")
 	}))
-	err := a.RemoteMeet(context.Background(), b.ID(), "failing", folder.NewBriefcase())
+	err := a.Meet(context.Background(), "failing", folder.NewBriefcase(), At(b.ID()))
 	if err == nil || !strings.Contains(err.Error(), "service exploded") {
 		t.Fatalf("err = %v", err)
 	}
@@ -156,7 +156,7 @@ func TestRemoteMeetCrashedSite(t *testing.T) {
 	sys := testSystem(t, 2)
 	a, b := sys.SiteAt(0), sys.SiteAt(1)
 	sys.Net.Crash(b.ID())
-	err := a.RemoteMeet(context.Background(), b.ID(), AgTacl, folder.NewBriefcase())
+	err := a.Meet(context.Background(), AgTacl, folder.NewBriefcase(), At(b.ID()))
 	if !errors.Is(err, vnet.ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", err)
 	}
@@ -188,7 +188,7 @@ func TestActivationAndLoadCounters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.MeetClient(context.Background(), "slow", folder.NewBriefcase())
+		s.Meet(context.Background(), "slow", folder.NewBriefcase())
 	}()
 	<-started
 	if s.Load() != 1 {
@@ -233,30 +233,44 @@ func TestRegisterUnregisterLookup(t *testing.T) {
 func TestMeetRequestWireRoundTrip(t *testing.T) {
 	bc := folder.NewBriefcase()
 	bc.PutString("K", "v")
-	data := appendMeetRequest(nil, "agent-x", "site-origin", bc)
-	agent, origin, got, err := decodeMeetRequest(data)
-	if err != nil {
-		t.Fatal(err)
+	bc.Put("BLOB", bigFolder('b', 300))
+	c := folder.NewDeltaCache(0)
+	data := appendMeetRequestV2(nil, "agent-x", "site-origin", bc, c, nil, nil, nil)
+	agent, origin, got, missing, err := decodeMeetRequestV2(data, c.Get, nil)
+	if err != nil || len(missing) > 0 {
+		t.Fatalf("err=%v missing=%d", err, len(missing))
 	}
 	if agent != "agent-x" || origin != "site-origin" || !got.Equal(bc) {
 		t.Fatalf("round trip: %q %q %v", agent, origin, got)
 	}
 }
 
+// TestMeetRequestDecodeErrors feeds malformed meet frames — outside input
+// on every open endpoint — and requires each to be refused, not served.
 func TestMeetRequestDecodeErrors(t *testing.T) {
-	for _, data := range [][]byte{{}, {0x05, 'a'}, {0x01, 'a', 0x01, 'b', 0xFF}} {
-		if _, _, _, err := decodeMeetRequest(data); err == nil {
-			t.Errorf("decodeMeetRequest(%v) succeeded", data)
+	none := func(folder.Hash) ([]byte, bool) { return nil, false }
+	for name, data := range map[string][]byte{
+		"empty":            {},
+		"truncated agent":  {0x05, 'a'},
+		"truncated origin": {0x01, 'a', 0x05, 'b'},
+		"bad briefcase":    {0x01, 'a', 0x01, 'b', 0xFF},
+	} {
+		if _, _, _, _, err := decodeMeetRequestV2(data, none, nil); err == nil {
+			t.Errorf("%s: decodeMeetRequestV2(%v) succeeded", name, data)
 		}
 	}
 }
 
+// TestHandleCallUnknownKind: kinds the kernel does not serve are refused,
+// including "meet", the retired whole-briefcase meet frame.
 func TestHandleCallUnknownKind(t *testing.T) {
 	sys := testSystem(t, 2)
 	a := sys.SiteAt(0)
-	_, err := a.Endpoint().Call(context.Background(), sys.SiteAt(1).ID(), "bogus", nil)
-	if err == nil || !strings.Contains(err.Error(), "unknown message kind") {
-		t.Fatalf("err = %v", err)
+	for _, kind := range []string{"bogus", "meet"} {
+		_, err := a.Endpoint().Call(context.Background(), sys.SiteAt(1).ID(), kind, nil)
+		if err == nil || !strings.Contains(err.Error(), "unknown message kind") {
+			t.Fatalf("kind %q: err = %v", kind, err)
+		}
 	}
 }
 
@@ -305,7 +319,7 @@ func TestContextCancelsMeet(t *testing.T) {
 	s := sys.SiteAt(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := s.MeetClient(ctx, AgTacl, folder.NewBriefcase())
+	err := s.Meet(ctx, AgTacl, folder.NewBriefcase())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -329,7 +343,7 @@ func TestRemoteMeetIdentityForPolicies(t *testing.T) {
 	gated.Register("svc", AgentFunc(func(*MeetContext, *folder.Briefcase) error { return nil }))
 
 	friendly := NewSite(net.AddNode("friendly"), SiteConfig{})
-	if err := friendly.RemoteMeet(context.Background(), "gated", "svc", folder.NewBriefcase()); err != nil {
+	if err := friendly.Meet(context.Background(), "svc", folder.NewBriefcase(), At("gated")); err != nil {
 		t.Fatal(err)
 	}
 	if sawFrom != "rexec@friendly" {
@@ -337,7 +351,7 @@ func TestRemoteMeetIdentityForPolicies(t *testing.T) {
 	}
 
 	blocked := NewSite(net.AddNode("blocked"), SiteConfig{})
-	err := blocked.RemoteMeet(context.Background(), "gated", "svc", folder.NewBriefcase())
+	err := blocked.Meet(context.Background(), "svc", folder.NewBriefcase(), At("gated"))
 	if err == nil || !strings.Contains(err.Error(), "not welcome") {
 		t.Fatalf("err = %v", err)
 	}
@@ -355,7 +369,7 @@ func TestSystemWaitQuiesces(t *testing.T) {
 	bc.PutString(folder.HostFolder, "site-1")
 	bc.PutString(folder.ContactFolder, "slowsink")
 	bc.PutString(DetachFolder, "1")
-	if err := sys.SiteAt(0).MeetClient(context.Background(), AgRexec, bc); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgRexec, bc); err != nil {
 		t.Fatal(err)
 	}
 	sys.Wait() // must block until the detached delivery lands

@@ -9,19 +9,13 @@ import (
 	"repro/internal/vnet"
 )
 
-// The unified meet entry point. Site.Meet(ctx, agent, bc, ...MeetOption)
-// subsumes the three historical entry points:
-//
-//	s.Meet(mc, agent, bc)                  → s.Meet(mc, agent, bc)       (unchanged; *MeetContext is a context.Context)
-//	s.MeetClient(ctx, agent, bc)           → s.Meet(ctx, agent, bc)
-//	s.RemoteMeet(ctx, dest, agent, bc)     → s.Meet(ctx, agent, bc, At(dest))
-//
-// *MeetContext implements context.Context (delegating to its Ctx), so the
-// first parameter accepts both a plain context — a client starting a
-// computation from outside the agent system — and the MeetContext of a
-// currently executing agent, which preserves nesting depth and caller
-// identity exactly as the old Meet did. Every pre-redesign call site
-// compiles and behaves unchanged.
+// Site.Meet(ctx, agent, bc, ...MeetOption) is the kernel's one meet entry
+// point. *MeetContext implements context.Context (delegating to its Ctx),
+// so the first parameter accepts both a plain context — a client starting a
+// computation from outside the agent system, which gets a fresh depth-0
+// meet and so the durability barrier — and the MeetContext of a currently
+// executing agent, which makes the meet nest: it carries the caller's
+// identity and nesting depth and skips the barrier.
 
 // Deadline implements context.Context.
 func (mc *MeetContext) Deadline() (time.Time, bool) { return mc.base().Deadline() }
@@ -44,18 +38,8 @@ func (mc *MeetContext) base() context.Context {
 	return mc.Ctx
 }
 
-// withCtx derives a copy of mc whose cancellation context is ctx; caller
-// identity, agent, and nesting depth carry over.
-func (mc *MeetContext) withCtx(ctx context.Context) *MeetContext {
-	c := *mc
-	c.Ctx = ctx
-	return &c
-}
-
-// MeetOption tunes one Meet call.
-type MeetOption func(*meetOpts)
-
-type meetOpts struct {
+// MeetOption tunes one Meet call; build it with At, Async, or Deadline.
+type MeetOption struct {
 	dest     vnet.SiteID
 	deadline time.Time
 	async    *sched.Handle
@@ -64,26 +48,20 @@ type meetOpts struct {
 // At directs the meet to the named site: the briefcase travels there, the
 // agent executes there, and the mutated briefcase folds back on success. A
 // dest equal to the local site (or empty) short-circuits to a local meet.
-func At(dest vnet.SiteID) MeetOption {
-	return func(o *meetOpts) { o.dest = dest }
-}
+func At(dest vnet.SiteID) MeetOption { return MeetOption{dest: dest} }
 
 // Async detaches the meet: Meet submits it to the site scheduler and
 // returns nil immediately, arming h to report completion (Wait/Done/Err).
 // The caller must not touch the briefcase until h completes — the meet
 // owns it in the meantime. Asynchronous meets count as site background
 // work, so Site.Wait quiesces them.
-func Async(h *sched.Handle) MeetOption {
-	return func(o *meetOpts) { o.async = h }
-}
+func Async(h *sched.Handle) MeetOption { return MeetOption{async: h} }
 
 // Deadline bounds the meet: the cancellation context expires at t. A local
 // agent sees the deadline on its MeetContext; for a meet sent At() another
 // site it bounds the network exchange (the remote activation starts fresh
 // at the destination, as all arrivals do).
-func Deadline(t time.Time) MeetOption {
-	return func(o *meetOpts) { o.deadline = t }
-}
+func Deadline(t time.Time) MeetOption { return MeetOption{deadline: t} }
 
 // Meet executes the named agent with the briefcase — the paper's "meet B
 // with bc". With no options the meet is local and synchronous: the caller
@@ -101,75 +79,66 @@ func Deadline(t time.Time) MeetOption {
 // is enqueued with the scheduler, and the meet returns nil immediately —
 // delivery semantics, like mail, rather than rendezvous.
 func (s *Site) Meet(ctx context.Context, agent string, bc *folder.Briefcase, opts ...MeetOption) error {
-	var mc *MeetContext
-	if m, ok := ctx.(*MeetContext); ok {
-		mc = m // a typed-nil *MeetContext behaves like a nil ctx below
-	} else if ctx != nil {
+	var o MeetOption
+	for _, opt := range opts {
+		if opt.dest != "" {
+			o.dest = opt.dest
+		}
+		if !opt.deadline.IsZero() {
+			o.deadline = opt.deadline
+		}
+		if opt.async != nil {
+			o.async = opt.async
+		}
+	}
+	if o.dest == s.id {
+		o.dest = ""
+	}
+	if o.dest != "" && bc == nil {
+		// The wire path serializes the briefcase; a caller with nothing to
+		// send still ships (and discards) an empty one.
+		bc = folder.NewBriefcase()
+	}
+	mc, isMC := ctx.(*MeetContext)
+	if mc == nil { // a client context; a typed-nil *MeetContext counts as nil
+		if isMC || ctx == nil {
+			ctx = context.Background()
+		}
+		if o.dest != "" && o.async == nil && o.deadline.IsZero() {
+			// The common client remote meet goes straight to the wire.
+			return s.remoteMeet(ctx, o.dest, agent, bc)
+		}
 		mc = &MeetContext{Ctx: ctx}
 	}
-	if len(opts) == 0 {
-		return s.meet(mc, agent, bc)
+	if o.async == nil && o.deadline.IsZero() {
+		return s.meetAt(mc, o.dest, agent, bc)
 	}
-	var o meetOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if mc == nil {
-		mc = &MeetContext{Ctx: context.Background()}
-	}
-	var cancel context.CancelFunc
+	var cancel context.CancelFunc = func() {}
 	if !o.deadline.IsZero() {
 		var dctx context.Context
 		dctx, cancel = context.WithDeadline(mc.base(), o.deadline)
-		mc = mc.withCtx(dctx)
+		c := *mc
+		c.Ctx = dctx
+		mc = &c
 	}
-	exec := func(mc *MeetContext) error {
-		if o.dest != "" && o.dest != s.id {
-			if bc == nil {
-				// The wire path serializes the briefcase; a caller with
-				// nothing to send still ships (and discards) an empty one.
-				bc = folder.NewBriefcase()
-			}
-			return s.remoteMeet(mc.base(), o.dest, agent, bc)
-		}
-		return s.meet(mc, agent, bc)
-	}
-	if h := o.async; h != nil {
-		task := mc
-		s.sched.Submit(agent, func() {
-			err := exec(task)
-			if cancel != nil {
-				cancel()
-			}
-			h.Complete(err)
-		})
-		return nil
-	}
-	if cancel != nil {
+	h := o.async
+	if h == nil {
 		defer cancel()
+		return s.meetAt(mc, o.dest, agent, bc)
 	}
-	return exec(mc)
+	s.sched.Submit(agent, func() {
+		err := s.meetAt(mc, o.dest, agent, bc)
+		cancel()
+		h.Complete(err)
+	})
+	return nil
 }
 
-// MeetClient starts a computation from outside the agent system: it meets
-// the named local agent with a fresh context. It is deprecated in favor of
-// Meet(ctx, agent, bc), which it thinly wraps; it remains so pre-redesign
-// callers keep compiling and behaving unchanged.
-func (s *Site) MeetClient(ctx context.Context, agent string, bc *folder.Briefcase) error {
-	return s.meet(&MeetContext{Ctx: ctx}, agent, bc)
-}
-
-// RemoteMeet executes the named agent at another site, sending the
-// briefcase there and folding the mutated briefcase back on success. It is
-// deprecated in favor of Meet(ctx, agent, bc, At(dest)), which it thinly
-// wraps; it remains so pre-redesign callers keep compiling and behaving
-// unchanged.
-//
-// The briefcase travels in the v2 delta format (see wire.go): folders the
-// peer already holds ship as content refs instead of bytes, so a signed
-// multi-hop agent stops re-shipping its own code after the first hop over
-// a link. A peer that answers "unknown message kind" is remembered as
-// v1-only and served the legacy format from then on.
-func (s *Site) RemoteMeet(ctx context.Context, dest vnet.SiteID, agent string, bc *folder.Briefcase) error {
-	return s.remoteMeet(ctx, dest, agent, bc)
+// meetAt runs the meet at dest: over the wire when dest names another
+// site, locally when it is empty.
+func (s *Site) meetAt(mc *MeetContext, dest vnet.SiteID, agent string, bc *folder.Briefcase) error {
+	if dest != "" {
+		return s.remoteMeet(mc.base(), dest, agent, bc)
+	}
+	return s.meet(mc, agent, bc)
 }

@@ -22,7 +22,7 @@ func TestMeetUnifiedEntryPoint(t *testing.T) {
 		return nil
 	}))
 
-	// Plain context: the client entry point (what MeetClient wrapped).
+	// Plain context: a client entering the agent system.
 	bc := folder.NewBriefcase()
 	if err := a.Meet(context.Background(), "echo", bc); err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestMeetUnifiedEntryPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// At(dest): the remote entry point (what RemoteMeet wrapped).
+	// At(dest): the meet runs at another site.
 	bc = folder.NewBriefcase()
 	if err := a.Meet(context.Background(), "echo", bc, At(b.ID())); err != nil {
 		t.Fatal(err)
@@ -172,29 +172,59 @@ func TestMeetDeadline(t *testing.T) {
 	}
 }
 
-func TestDeprecatedWrappersBehaveIdentically(t *testing.T) {
+// TestMeetOptionsFromAgent covers the paths Meet takes for an executing
+// agent's *MeetContext: At(self) nests (depth carries over), At(other)
+// crosses the wire, an Async remote meet completes through its handle, and
+// a typed-nil *MeetContext is a fresh client context.
+func TestMeetOptionsFromAgent(t *testing.T) {
 	sys := testSystem(t, 2)
 	a, b := sys.SiteAt(0), sys.SiteAt(1)
-	b.Register("mark", AgentFunc(func(mc *MeetContext, bc *folder.Briefcase) error {
-		bc.PutString("VIA", string(mc.Site.ID()))
-		return nil
+	for _, s := range []*Site{a, b} {
+		s.Register("where", AgentFunc(func(mc *MeetContext, bc *folder.Briefcase) error {
+			bc.PutString("AT", string(mc.Site.ID()))
+			bc.PutString("DEPTH", string(rune('0'+mc.Depth)))
+			return nil
+		}))
+	}
+	var h sched.Handle
+	a.Register("caller", AgentFunc(func(mc *MeetContext, bc *folder.Briefcase) error {
+		self := folder.NewBriefcase()
+		if err := a.Meet(mc, "where", self, At(a.ID())); err != nil {
+			return err
+		}
+		if at, _ := self.GetString("AT"); at != "site-0" {
+			t.Errorf("At(self) ran at %q", at)
+		}
+		if d, _ := self.GetString("DEPTH"); d != "2" {
+			t.Errorf("At(self) from an agent ran at depth %s, want 2", d)
+		}
+		remote := folder.NewBriefcase()
+		if err := a.Meet(mc, "where", remote, At(b.ID())); err != nil {
+			return err
+		}
+		if at, _ := remote.GetString("AT"); at != "site-1" {
+			t.Errorf("At(site-1) ran at %q", at)
+		}
+		return a.Meet(mc, "where", bc, At(b.ID()), Async(&h))
 	}))
 	bc := folder.NewBriefcase()
-	if err := a.RemoteMeet(context.Background(), b.ID(), "mark", bc); err != nil {
+	if err := a.Meet(context.Background(), "caller", bc); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := bc.GetString("VIA"); v != "site-1" {
-		t.Fatalf("RemoteMeet ran at %q", v)
-	}
-	a.Register("mark", AgentFunc(func(mc *MeetContext, bc *folder.Briefcase) error {
-		bc.PutString("VIA", string(mc.Site.ID()))
-		return nil
-	}))
-	bc = folder.NewBriefcase()
-	if err := a.MeetClient(context.Background(), "mark", bc); err != nil {
+	if err := h.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := bc.GetString("VIA"); v != "site-0" {
-		t.Fatalf("MeetClient ran at %q", v)
+	if at, _ := bc.GetString("AT"); at != "site-1" {
+		t.Fatalf("async At(site-1) ran at %q", at)
 	}
+
+	var nilMC *MeetContext
+	fresh := folder.NewBriefcase()
+	if err := a.Meet(nilMC, "where", fresh); err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := fresh.GetString("DEPTH"); d != "1" {
+		t.Fatalf("typed-nil MeetContext ran at depth %s, want 1", d)
+	}
+	a.Wait()
 }

@@ -49,7 +49,7 @@ func TestShardedRegistryStress(t *testing.T) {
 					}
 					s.Unregister(name)
 				case 1:
-					if err := s.MeetClient(context.Background(), fmt.Sprintf("stable-%d", i%stable), bc); err != nil {
+					if err := s.Meet(context.Background(), fmt.Sprintf("stable-%d", i%stable), bc); err != nil {
 						t.Errorf("meet: %v", err)
 						return
 					}

@@ -91,13 +91,13 @@ func agRexec(mc *MeetContext, bc *folder.Briefcase) error {
 		site.Go(func() {
 			// Background shipment: failures surface only in the site's
 			// cabinet log, exactly like a lost letter.
-			if err := site.RemoteMeet(mc.Ctx, vnet.SiteID(host), contact, shipped); err != nil {
+			if err := site.remoteMeet(mc.Ctx, vnet.SiteID(host), contact, shipped); err != nil {
 				site.Cabinet().AppendString("LOG", "rexec detach: "+err.Error())
 			}
 		})
 		return nil
 	}
-	return mc.Site.RemoteMeet(mc.Ctx, vnet.SiteID(host), contact, bc)
+	return mc.Site.remoteMeet(mc.Ctx, vnet.SiteID(host), contact, bc)
 }
 
 // agCourier transfers one named folder to a specified agent on a specified
@@ -128,13 +128,13 @@ func agCourier(mc *MeetContext, bc *folder.Briefcase) error {
 	if bc.Has(DetachFolder) {
 		site := mc.Site
 		site.Go(func() {
-			if err := site.RemoteMeet(mc.Ctx, vnet.SiteID(host), contact, parcel); err != nil {
+			if err := site.remoteMeet(mc.Ctx, vnet.SiteID(host), contact, parcel); err != nil {
 				site.Cabinet().AppendString("LOG", "courier: "+err.Error())
 			}
 		})
 		return nil
 	}
-	if err := mc.Site.RemoteMeet(mc.Ctx, vnet.SiteID(host), contact, parcel); err != nil {
+	if err := mc.Site.remoteMeet(mc.Ctx, vnet.SiteID(host), contact, parcel); err != nil {
 		return fmt.Errorf("courier: %w", err)
 	}
 	// Fold any reply folder back for the sender.
@@ -184,7 +184,7 @@ func agDiffusion(mc *MeetContext, bc *folder.Briefcase) error {
 	}
 	for _, dest := range next {
 		clone := bc.Clone()
-		if err := site.RemoteMeet(mc.Ctx, vnet.SiteID(dest), AgDiffusion, clone); err != nil {
+		if err := site.remoteMeet(mc.Ctx, vnet.SiteID(dest), AgDiffusion, clone); err != nil {
 			bc.Ensure(folder.ErrorFolder).PushString(
 				fmt.Sprintf("diffusion clone to %s: %v", dest, err))
 			continue

@@ -25,7 +25,7 @@ func TestAgTaclRunsCode(t *testing.T) {
 
 func TestAgTaclMissingCode(t *testing.T) {
 	sys := testSystem(t, 1)
-	err := sys.SiteAt(0).MeetClient(context.Background(), AgTacl, folder.NewBriefcase())
+	err := sys.SiteAt(0).Meet(context.Background(), AgTacl, folder.NewBriefcase())
 	if err == nil || !strings.Contains(err.Error(), "CODE") {
 		t.Fatalf("err = %v", err)
 	}
@@ -71,7 +71,7 @@ func TestRexecMovesExecution(t *testing.T) {
 	bc := folder.NewBriefcase()
 	bc.PutString(folder.HostFolder, "site-1")
 	bc.PutString(folder.ContactFolder, "target")
-	if err := sys.SiteAt(0).MeetClient(context.Background(), AgRexec, bc); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgRexec, bc); err != nil {
 		t.Fatal(err)
 	}
 	where, _ := bc.GetString("WHERE")
@@ -85,13 +85,13 @@ func TestRexecMovesExecution(t *testing.T) {
 
 func TestRexecMissingFolders(t *testing.T) {
 	sys := testSystem(t, 1)
-	err := sys.SiteAt(0).MeetClient(context.Background(), AgRexec, folder.NewBriefcase())
+	err := sys.SiteAt(0).Meet(context.Background(), AgRexec, folder.NewBriefcase())
 	if err == nil || !strings.Contains(err.Error(), "HOST") {
 		t.Fatalf("err = %v", err)
 	}
 	bc := folder.NewBriefcase()
 	bc.PutString(folder.HostFolder, "site-0")
-	err = sys.SiteAt(0).MeetClient(context.Background(), AgRexec, bc)
+	err = sys.SiteAt(0).Meet(context.Background(), AgRexec, bc)
 	if err == nil || !strings.Contains(err.Error(), "CONTACT") {
 		t.Fatalf("err = %v", err)
 	}
@@ -110,7 +110,7 @@ func TestRexecDetach(t *testing.T) {
 	bc.PutString(folder.ContactFolder, "sink")
 	bc.PutString(DetachFolder, "1")
 	bc.PutString("DATA", "async-payload")
-	if err := sys.SiteAt(0).MeetClient(context.Background(), AgRexec, bc); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgRexec, bc); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -140,7 +140,7 @@ func TestCourierDeliversFolder(t *testing.T) {
 	bc.PutString(FolderNameFolder, "LETTER")
 	bc.Put("LETTER", folder.OfStrings("dear", "agent"))
 	bc.PutString("PRIVATE", "must not travel")
-	if err := sys.SiteAt(0).MeetClient(context.Background(), AgCourier, bc); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgCourier, bc); err != nil {
 		t.Fatal(err)
 	}
 	<-got
@@ -166,7 +166,7 @@ func TestCourierMissingArgs(t *testing.T) {
 	bc.PutString(folder.HostFolder, "site-0")
 	bc.PutString(folder.ContactFolder, "x")
 	bc.PutString(FolderNameFolder, "NOPE")
-	err := sys.SiteAt(0).MeetClient(context.Background(), AgCourier, bc)
+	err := sys.SiteAt(0).Meet(context.Background(), AgCourier, bc)
 	if err == nil || !strings.Contains(err.Error(), "NOPE") {
 		t.Fatalf("err = %v", err)
 	}
@@ -185,7 +185,7 @@ func TestCourierDetach(t *testing.T) {
 	bc.PutString(FolderNameFolder, "LETTER")
 	bc.Put("LETTER", folder.OfStrings("hi"))
 	bc.PutString(DetachFolder, "1")
-	if err := sys.SiteAt(0).MeetClient(context.Background(), AgCourier, bc); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgCourier, bc); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -207,7 +207,7 @@ func TestDiffusionCoversRing(t *testing.T) {
 	})
 	bc := folder.NewBriefcase()
 	bc.PutString(folder.ContactFolder, "deliver")
-	if err := sys.SiteAt(0).MeetClient(context.Background(), AgDiffusion, bc); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgDiffusion, bc); err != nil {
 		t.Fatal(err)
 	}
 	sys.Wait()
@@ -236,7 +236,7 @@ func TestDiffusionCoversGridExactlyOnce(t *testing.T) {
 	})
 	bc := folder.NewBriefcase()
 	bc.PutString(folder.ContactFolder, "deliver")
-	if err := sys.SiteAt(5).MeetClient(context.Background(), AgDiffusion, bc); err != nil {
+	if err := sys.SiteAt(5).Meet(context.Background(), AgDiffusion, bc); err != nil {
 		t.Fatal(err)
 	}
 	sys.Wait()
@@ -260,7 +260,7 @@ func TestDiffusionTwoRunsIndependent(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		bc := folder.NewBriefcase()
 		bc.PutString(folder.ContactFolder, "deliver")
-		if err := sys.SiteAt(0).MeetClient(context.Background(), AgDiffusion, bc); err != nil {
+		if err := sys.SiteAt(0).Meet(context.Background(), AgDiffusion, bc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +284,7 @@ func TestDiffusionSurvivesDeadNeighbour(t *testing.T) {
 	sys.Net.Crash("site-2")
 	bc := folder.NewBriefcase()
 	bc.PutString(folder.ContactFolder, "deliver")
-	if err := sys.SiteAt(0).MeetClient(context.Background(), AgDiffusion, bc); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgDiffusion, bc); err != nil {
 		t.Fatal(err)
 	}
 	sys.Wait()
@@ -305,7 +305,7 @@ func TestDiffusionNoContact(t *testing.T) {
 	sys := testSystem(t, 4)
 	sys.FullMesh()
 	bc := folder.NewBriefcase()
-	if err := sys.SiteAt(0).MeetClient(context.Background(), AgDiffusion, bc); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgDiffusion, bc); err != nil {
 		t.Fatal(err)
 	}
 	sys.Wait()

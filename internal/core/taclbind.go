@@ -565,5 +565,5 @@ func RunScript(ctx context.Context, s *Site, src string, bc *folder.Briefcase) (
 		bc = folder.NewBriefcase()
 	}
 	bc.Ensure(folder.CodeFolder).PushString(src)
-	return bc, s.MeetClient(ctx, AgTacl, bc)
+	return bc, s.Meet(ctx, AgTacl, bc)
 }

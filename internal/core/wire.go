@@ -7,16 +7,10 @@ import (
 	"repro/internal/folder"
 )
 
-// Meet request wire format, v1 (kind "meet"):
-//
-//	request := agentLen:uvarint agent originLen:uvarint origin briefcase
-//
-// The response to a v1 meet is simply the encoded mutated briefcase.
-//
-// Wire protocol v2 (kind "meet2") reuses the same envelope but carries the
-// briefcase in the content-addressed delta format (folder/delta.go), and
-// the response gains a one-byte tag so the callee can report unresolvable
-// refs instead of executing:
+// Meet wire format (kind "meet2"). A request frames the agent and origin
+// site names followed by the briefcase in the content-addressed delta
+// format (folder/delta.go); the response leads with a one-byte tag so the
+// callee can report unresolvable refs instead of executing:
 //
 //	request  := agentLen:uvarint agent originLen:uvarint origin briefcaseΔ
 //	response := replyBriefcase briefcaseΔ
@@ -27,28 +21,16 @@ import (
 // briefcases may ref only hashes pinned by this request (shipped or
 // referenced in it), so a reply ref is always resolvable by the caller —
 // there is no client-side miss path. Both ends of a link maintain one
-// folder.DeltaCache per peer; see RemoteMeet and handleCall for the
-// negotiation (v1 peers answer "unknown message kind", after which the
-// caller falls back to v1 for that peer).
+// folder.DeltaCache per peer; see remoteMeet and serveMeet2.
 
-// v2 response tags.
+// Response tags.
 const (
 	replyBriefcase = 0x00
 	replyMiss      = 0x01
 )
 
-// appendMeetRequest frames a v1 meet request into dst (typically a pooled
+// appendMeetRequestV2 frames a meet request into dst (typically a pooled
 // buffer) and returns the extended slice.
-func appendMeetRequest(dst []byte, agent, origin string, bc *folder.Briefcase) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(agent)))
-	dst = append(dst, agent...)
-	dst = binary.AppendUvarint(dst, uint64(len(origin)))
-	dst = append(dst, origin...)
-	return folder.AppendBriefcase(dst, bc)
-}
-
-// appendMeetRequestV2 frames a v2 meet request: the envelope of v1 with a
-// delta-encoded briefcase.
 func appendMeetRequestV2(dst []byte, agent, origin string, bc *folder.Briefcase,
 	c *folder.DeltaCache, refs func(folder.Hash) ([]byte, bool),
 	pin func(folder.Hash, []byte), rec folder.DeltaRecorder) []byte {
@@ -59,7 +41,7 @@ func appendMeetRequestV2(dst []byte, agent, origin string, bc *folder.Briefcase,
 	return folder.AppendBriefcaseDelta(dst, bc, c, refs, pin, rec)
 }
 
-// decodeMeetRequestV2 parses a v2 meet request. A nil briefcase with a
+// decodeMeetRequestV2 parses a meet request. A nil briefcase with a
 // non-empty missing list means every frame was well-formed but some refs
 // could not be resolved; the caller must answer with a miss reply.
 func decodeMeetRequestV2(data []byte, resolve func(folder.Hash) ([]byte, bool),
@@ -108,22 +90,6 @@ func decodeMissReply(data []byte) ([]folder.Hash, error) {
 		data = data[hashLen:]
 	}
 	return out, nil
-}
-
-func decodeMeetRequest(data []byte) (agent, origin string, bc *folder.Briefcase, err error) {
-	agent, data, err = takeString(data)
-	if err != nil {
-		return "", "", nil, fmt.Errorf("core: meet request agent: %w", err)
-	}
-	origin, data, err = takeString(data)
-	if err != nil {
-		return "", "", nil, fmt.Errorf("core: meet request origin: %w", err)
-	}
-	bc, err = folder.DecodeBriefcase(data)
-	if err != nil {
-		return "", "", nil, fmt.Errorf("core: meet request briefcase: %w", err)
-	}
-	return agent, origin, bc, nil
 }
 
 func takeString(data []byte) (string, []byte, error) {

@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/folder"
-	"repro/internal/vnet"
 )
 
 // bigFolder returns a folder whose canonical encoding is comfortably over
@@ -20,9 +17,10 @@ func bigFolder(fill byte, n int) *folder.Folder {
 	return folder.Of(e)
 }
 
-// TestRemoteMeetDeltaRoundTrip proves the v2 path is transparent: the
-// briefcase a remote meet folds back is identical to what v1 would have
-// produced, and a repeat meet with unchanged large folders ships refs.
+// TestRemoteMeetDeltaRoundTrip proves the delta path is transparent: the
+// briefcase a remote meet folds back is identical to what whole-briefcase
+// framing would have produced, and a repeat meet with unchanged large
+// folders ships refs.
 func TestRemoteMeetDeltaRoundTrip(t *testing.T) {
 	sys := testSystem(t, 2)
 	a, b := sys.SiteAt(0), sys.SiteAt(1)
@@ -36,7 +34,7 @@ func TestRemoteMeetDeltaRoundTrip(t *testing.T) {
 	bc.Put("FROZEN", bigFolder('f', 300).Freeze())
 	bc.PutString("TINY", "below threshold")
 
-	if err := a.RemoteMeet(context.Background(), b.ID(), "stamp", bc); err != nil {
+	if err := a.Meet(context.Background(), "stamp", bc, At(b.ID())); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := bc.GetString(folder.ResultFolder); got != "stamped at site-1" {
@@ -46,7 +44,7 @@ func TestRemoteMeetDeltaRoundTrip(t *testing.T) {
 		t.Fatal("BLOB changed in transit")
 	}
 	st := a.WireStats()
-	if st.MeetsV2 != 1 || st.MeetsV1 != 0 {
+	if st.MeetsV2 != 1 {
 		t.Fatalf("stats after first meet: %+v", st)
 	}
 	if st.RefFolders != 0 {
@@ -56,7 +54,7 @@ func TestRemoteMeetDeltaRoundTrip(t *testing.T) {
 
 	// Second meet: BLOB and FROZEN are unchanged → both go as refs, in the
 	// request and in the reply.
-	if err := a.RemoteMeet(context.Background(), b.ID(), "stamp", bc); err != nil {
+	if err := a.Meet(context.Background(), "stamp", bc, At(b.ID())); err != nil {
 		t.Fatal(err)
 	}
 	st = a.WireStats()
@@ -85,7 +83,7 @@ func TestRemoteMeetDeltaMissRecovers(t *testing.T) {
 
 	bc := folder.NewBriefcase()
 	bc.Put("BLOB", bigFolder('x', 400))
-	if err := a.RemoteMeet(context.Background(), b.ID(), "count", bc); err != nil {
+	if err := a.Meet(context.Background(), "count", bc, At(b.ID())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -98,7 +96,7 @@ func TestRemoteMeetDeltaMissRecovers(t *testing.T) {
 		pw.cache.PutCopy(folder.HashBytes(junk), junk)
 	}
 
-	if err := a.RemoteMeet(context.Background(), b.ID(), "count", bc); err != nil {
+	if err := a.Meet(context.Background(), "count", bc, At(b.ID())); err != nil {
 		t.Fatal(err)
 	}
 	if meets != 2 {
@@ -108,106 +106,6 @@ func TestRemoteMeetDeltaMissRecovers(t *testing.T) {
 		t.Fatalf("caller observed %d misses, want 1 (%+v)", st.Misses, st)
 	}
 }
-
-// TestCrossVersionV1CallerServedByV2Site hand-frames a legacy "meet"
-// request — what a seed-era binary sends — against a current site.
-func TestCrossVersionV1CallerServedByV2Site(t *testing.T) {
-	sys := testSystem(t, 2)
-	b := sys.SiteAt(1)
-	b.Register("echo", AgentFunc(func(mc *MeetContext, bc *folder.Briefcase) error {
-		v, _ := bc.GetString("IN")
-		bc.PutString("OUT", "echo:"+v)
-		return nil
-	}))
-
-	bc := folder.NewBriefcase()
-	bc.PutString("IN", "legacy")
-	payload := appendMeetRequest(nil, "echo", "site-0", bc)
-	node := sys.Net.Node("site-0")
-	resp, err := node.Call(context.Background(), b.ID(), msgMeet, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := folder.DecodeBriefcase(resp)
-	if err != nil {
-		t.Fatalf("v1 caller got a non-v1 reply: %v", err)
-	}
-	if got, _ := out.GetString("OUT"); got != "echo:legacy" {
-		t.Fatalf("OUT = %q", got)
-	}
-}
-
-// TestCrossVersionV2CallerFallsBackToV1Site points a current site at a
-// seed-era peer (a raw endpoint speaking only "meet"); the first remote
-// meet must negotiate down transparently and subsequent meets must skip
-// straight to the legacy frame.
-func TestCrossVersionV2CallerFallsBackToV1Site(t *testing.T) {
-	net := vnet.NewNetwork(vnet.WithCallTimeout(50 * time.Millisecond))
-	a := NewSite(net.AddNode("modern"), SiteConfig{})
-	legacy := net.AddNode("legacy")
-	// A faithful v1 site: serves "meet" with whole-briefcase framing and
-	// answers everything else exactly as the seed kernel did.
-	legacy.SetHandler(func(from vnet.SiteID, kind string, payload []byte) ([]byte, error) {
-		if kind != msgMeet {
-			return nil, fmtErrorfUnknownKind("legacy", kind)
-		}
-		agent, origin, bc, err := decodeMeetRequest(payload)
-		if err != nil {
-			return nil, err
-		}
-		_ = agent
-		bc.PutString("SERVED_BY", "legacy for "+origin)
-		return folder.EncodeBriefcase(bc), nil
-	})
-
-	bc := folder.NewBriefcase()
-	bc.Put("BLOB", bigFolder('z', 300))
-	for i := 0; i < 2; i++ {
-		if err := a.RemoteMeet(context.Background(), "legacy", "anything", bc); err != nil {
-			t.Fatalf("meet %d: %v", i, err)
-		}
-	}
-	if got, _ := bc.GetString("SERVED_BY"); got != "legacy for modern" {
-		t.Fatalf("SERVED_BY = %q", got)
-	}
-	st := a.WireStats()
-	if st.LegacyPeerFallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", st.LegacyPeerFallbacks)
-	}
-	if st.MeetsV2 != 1 || st.MeetsV1 != 2 {
-		t.Fatalf("protocol mix = v2:%d v1:%d, want one v2 probe then v1 only", st.MeetsV2, st.MeetsV1)
-	}
-}
-
-// fmtErrorfUnknownKind reproduces the seed kernel's unknown-kind error
-// text, which the fallback negotiation keys on.
-func fmtErrorfUnknownKind(site, kind string) error {
-	return &unknownKindErr{site: site, kind: kind}
-}
-
-type unknownKindErr struct{ site, kind string }
-
-func (e *unknownKindErr) Error() string {
-	return "core: site " + e.site + ": unknown message kind \"" + e.kind + "\""
-}
-
-// TestFallbackMatchIsPeerScoped: an inner itinerary failure mentioning
-// another site's unknown-kind refusal must not demote the outer peer.
-func TestFallbackMatchIsPeerScoped(t *testing.T) {
-	err := fmtErrorfUnknownKind("site-c", msgMeet2)
-	if isUnknownKind(wrapAs("core: remote meet x at site-b: "+err.Error()), "site-b") {
-		t.Fatal("inner site-c refusal demoted site-b")
-	}
-	if !isUnknownKind(wrapAs("core: remote meet x at site-b: core: site site-b: unknown message kind \"meet2\""), "site-b") {
-		t.Fatal("genuine site-b refusal not detected")
-	}
-}
-
-func wrapAs(s string) error { return &strErr{s} }
-
-type strErr struct{ s string }
-
-func (e *strErr) Error() string { return e.s }
 
 // TestDeltaFoldersDecodeIdentical pins the codec equivalence the delta path
 // rests on: a delta encode/decode round trip (cold cache and warm cache)
@@ -231,15 +129,5 @@ func TestDeltaFoldersDecodeIdentical(t *testing.T) {
 		if !bc.Equal(got) {
 			t.Fatalf("round %d: delta round trip changed briefcase", round)
 		}
-	}
-}
-
-func init() {
-	// Guard against the unknown-kind error text drifting away from what
-	// isUnknownKind matches: the negotiation would silently break, failing
-	// every meet to a v1 peer instead of falling back.
-	err := fmtErrorfUnknownKind("x", msgMeet2)
-	if !strings.Contains(err.Error(), "unknown message kind") {
-		panic("unknown-kind error text mismatch")
 	}
 }

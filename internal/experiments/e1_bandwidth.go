@@ -110,7 +110,7 @@ func (w *E1Workload) RunAgent(ctx context.Context) (int, error) {
 	}
 	bc.Put("ITIN", itin)
 	bc.Ensure(folder.CodeFolder).PushString(filterAgentScript)
-	if err := w.Home.RemoteMeet(ctx, w.Stores[0], core.AgTacl, bc); err != nil {
+	if err := w.Home.Meet(ctx, core.AgTacl, bc, core.At(w.Stores[0])); err != nil {
 		return 0, err
 	}
 	m, err := bc.Folder("MATCHES")
@@ -126,7 +126,7 @@ func (w *E1Workload) RunClient(ctx context.Context) (int, error) {
 	matches := 0
 	for _, s := range w.Stores {
 		bc := folder.NewBriefcase()
-		if err := w.Home.RemoteMeet(ctx, s, "store", bc); err != nil {
+		if err := w.Home.Meet(ctx, "store", bc, core.At(s)); err != nil {
 			return 0, err
 		}
 		raw, err := bc.Folder("RAW")

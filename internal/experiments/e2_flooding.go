@@ -126,7 +126,7 @@ func E2Flood(ctx context.Context, variant, topology string, sites, ttl int) (E2R
 			})
 		})
 		bc.PutString(folder.ContactFolder, "deliver")
-		if err := sys.SiteAt(0).MeetClient(ctx, core.AgDiffusion, bc); err != nil {
+		if err := sys.SiteAt(0).Meet(ctx, core.AgDiffusion, bc); err != nil {
 			return row, err
 		}
 	default:

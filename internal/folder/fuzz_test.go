@@ -61,7 +61,7 @@ func FuzzDecodeBriefcase(f *testing.F) {
 }
 
 // FuzzCabinetLoad mirrors FuzzDecodeBriefcase for the cabinet restore path
-// tacomad boots through: loading arbitrary bytes never panics, a failed
+// WAL snapshot recovery loads through: loading arbitrary bytes never panics, a failed
 // load leaves the cabinet untouched, and a successful load rebuilds a
 // membership index consistent with the folder contents and survives a
 // Flush/Load round trip unchanged.

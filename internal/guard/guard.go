@@ -271,7 +271,7 @@ func (g *Guard) shipBillingHome(bc *folder.Briefcase, rec BillingRecord) {
 	site.Go(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), billingShipTimeout)
 		defer cancel()
-		if err := site.RemoteMeet(ctx, vnet.SiteID(home), AgBilling, notice); err != nil {
+		if err := site.Meet(ctx, AgBilling, notice, core.At(vnet.SiteID(home))); err != nil {
 			site.Cabinet().AppendString("LOG", "guard: billing notice to "+home+": "+err.Error())
 		}
 	})

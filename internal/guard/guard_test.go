@@ -230,7 +230,7 @@ func TestFirewallRejectsUnknownAndForged(t *testing.T) {
 		t.Fatal(err)
 	}
 	bc.Put(folder.CodeFolder, folder.OfStrings(`cab_append LOOT x`))
-	err = sys.SiteAt(0).RemoteMeet(ctxb(), "site-1", core.AgTacl, bc)
+	err = sys.SiteAt(0).Meet(ctxb(), core.AgTacl, bc, core.At("site-1"))
 	if err == nil || !strings.Contains(err.Error(), "bad briefcase signature") {
 		t.Fatalf("err = %v, want bad-signature refusal", err)
 	}
@@ -581,7 +581,7 @@ func TestSpoofedBillingNoticeQuarantined(t *testing.T) {
 	// An unsigned fabricated notice must not reach the attested log.
 	fake := folder.NewBriefcase()
 	fake.Ensure(BillingFolder).PushString("alice|ag_tacl|fw|1000|999|budget exhausted: fabricated")
-	if err := sys.SiteAt(1).RemoteMeet(ctxb(), "site-0", AgBilling, fake); err != nil {
+	if err := sys.SiteAt(1).Meet(ctxb(), AgBilling, fake, core.At("site-0")); err != nil {
 		t.Fatal(err)
 	}
 	if n := home.Cabinet().FolderLen(BillingFolder); n != 0 {
@@ -599,7 +599,7 @@ func TestSpoofedBillingNoticeQuarantined(t *testing.T) {
 	if err := Sign(keys, "alice", fake2, BillingFolder); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SiteAt(1).RemoteMeet(ctxb(), "site-0", AgBilling, fake2); err != nil {
+	if err := sys.SiteAt(1).Meet(ctxb(), AgBilling, fake2, core.At("site-0")); err != nil {
 		t.Fatal(err)
 	}
 	if n := home.Cabinet().FolderLen(BillingFolder); n != 0 {

@@ -36,5 +36,5 @@ func SignedScript(k *Keyring, principal, home, src string, bc *folder.Briefcase)
 // its briefcase. It blocks until the agent's computation terminates (or is
 // refused/terminated by a guard somewhere along its itinerary).
 func Launch(ctx context.Context, s *core.Site, bc *folder.Briefcase) error {
-	return s.MeetClient(ctx, core.AgTacl, bc)
+	return s.Meet(ctx, core.AgTacl, bc)
 }

@@ -262,7 +262,7 @@ func Fetch(ctx context.Context, client *core.Site, user string, at vnet.SiteID, 
 	bc.PutString(OpFolder, "fetch")
 	bc.PutString(UserFolder, user)
 	bc.PutString(IndexFolder, strconv.Itoa(idx))
-	if err := client.RemoteMeet(ctx, at, AgMailbox, bc); err != nil {
+	if err := client.Meet(ctx, AgMailbox, bc, core.At(at)); err != nil {
 		return Message{}, err
 	}
 	raw, err := bc.GetString(MsgFolder)
@@ -278,7 +278,7 @@ func Delete(ctx context.Context, client *core.Site, user string, at vnet.SiteID,
 	bc.PutString(OpFolder, "delete")
 	bc.PutString(UserFolder, user)
 	bc.PutString(IndexFolder, strconv.Itoa(idx))
-	return client.RemoteMeet(ctx, at, AgMailbox, bc)
+	return client.Meet(ctx, AgMailbox, bc, core.At(at))
 }
 
 // Receipts returns the delivery receipts deposited for a sender at a site.

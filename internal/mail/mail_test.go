@@ -186,13 +186,13 @@ func TestMailboxOpValidation(t *testing.T) {
 	site := sys.SiteAt(0)
 	// Unknown op.
 	bc := newBC("explode", "u")
-	if err := site.MeetClient(context.Background(), AgMailbox, bc); err == nil {
+	if err := site.Meet(context.Background(), AgMailbox, bc); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 	// Deposit of malformed message.
 	bc = newBC("deposit", "u")
 	bc.PutString(MsgFolder, "garbage-without-separators")
-	if err := site.MeetClient(context.Background(), AgMailbox, bc); err == nil {
+	if err := site.Meet(context.Background(), AgMailbox, bc); err == nil {
 		t.Fatal("malformed deposit accepted")
 	}
 }

@@ -45,7 +45,7 @@ func TestMailboxConcurrentStress(t *testing.T) {
 				bc.PutString(OpFolder, "deposit")
 				bc.PutString(UserFolder, "stress")
 				bc.PutString(MsgFolder, msg.Encode())
-				if err := site.MeetClient(context.Background(), AgMailbox, bc); err != nil {
+				if err := site.Meet(context.Background(), AgMailbox, bc); err != nil {
 					t.Errorf("deposit: %v", err)
 					return
 				}
@@ -72,7 +72,7 @@ func TestMailboxConcurrentStress(t *testing.T) {
 				}
 				// Errors are expected (fetch from an emptied mailbox); only
 				// data races and lost messages are failures.
-				_ = site.MeetClient(context.Background(), AgMailbox, bc)
+				_ = site.Meet(context.Background(), AgMailbox, bc)
 			}
 		}()
 	}
@@ -90,7 +90,7 @@ func TestMailboxConcurrentStress(t *testing.T) {
 				bc.PutString(OpFolder, "delete")
 				bc.PutString(UserFolder, "stress")
 				bc.PutString(IndexFolder, "0")
-				if err := site.MeetClient(context.Background(), AgMailbox, bc); err == nil {
+				if err := site.Meet(context.Background(), AgMailbox, bc); err == nil {
 					deleted.Add(1)
 				}
 			}

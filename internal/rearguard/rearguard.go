@@ -155,30 +155,7 @@ func (m *Manager) persistGuard(g *guard) {
 	f.PushString(strconv.Itoa(g.hop))
 	f.PushString(string(g.watch))
 	f.PushOwned(folder.EncodeBriefcase(g.bc))
-	// Checkpoint format v2: a fifth element carries the agent's park
-	// continuation descriptor when the guarded briefcase has one — a
-	// relaunch of a resident agent then restarts it as the parked
-	// continuation it was, not a fresh hop. Empty for never-parked agents;
-	// absent entirely in pre-scheduler checkpoints (Recover accepts both).
-	f.PushString(ParkDescriptor(g.bc))
 	m.site.Cabinet().Put(ArmFolderPrefix+guardKey(g.id, g.hop), f)
-}
-
-// ParkDescriptor summarizes the park continuation a briefcase carries
-// ("name=<park name>;watch=<watched folder>"), or "" when it has none.
-// Rear-guard checkpoints store it alongside the encoded briefcase so
-// recovery tooling can see at a glance that a guarded agent is a resident
-// (parked) one without decoding the briefcase.
-func ParkDescriptor(bc *folder.Briefcase) string {
-	if bc == nil {
-		return ""
-	}
-	name, err := bc.GetString(core.ParkNameFolder)
-	if err != nil || name == "" {
-		return ""
-	}
-	watch, _ := bc.GetString(core.ParkWatchFolder)
-	return "name=" + name + ";watch=" + watch
 }
 
 // syncCheckpoint forces the durability barrier for a checkpoint mutation.
@@ -204,8 +181,8 @@ func (m *Manager) unpersistGuard(id string, hop int) {
 // been recovered from stable storage (tacomad does, right after its WAL
 // replay) — a restarted site resumes watching the agents it was guarding
 // when it crashed. Unreadable checkpoints are dropped rather than trusted.
-// Both checkpoint formats recover: the legacy four-element folder and the
-// five-element one whose tail is the park descriptor (see persistGuard).
+// A checkpoint is the four-element folder persistGuard writes: id, hop,
+// watched site, encoded briefcase (which carries any park continuation).
 func (m *Manager) Recover() int {
 	n := 0
 	for _, name := range m.site.Cabinet().Names() {
@@ -279,7 +256,7 @@ func (m *Manager) Launch(ctx context.Context, cfg Config, payload *folder.Briefc
 	}
 	site := m.site
 	site.Go(func() {
-		if err := site.RemoteMeet(ctx, first, AgHop, bc.Clone()); err != nil && !cfg.Guards {
+		if err := site.Meet(ctx, AgHop, bc.Clone(), core.At(first)); err != nil && !cfg.Guards {
 			// Without guards a failed initial move is simply a lost agent.
 			return
 		}
@@ -342,7 +319,7 @@ func (m *Manager) advance(ctx context.Context, bc *folder.Briefcase, id string, 
 	if next >= itin.Len() {
 		// Journey complete: deliver home, then dismiss the guard behind.
 		origin, _ := bc.GetString(OriginFolder)
-		err := m.site.RemoteMeet(ctx, vnet.SiteID(origin), AgHome, bc.Clone())
+		err := m.site.Meet(ctx, AgHome, bc.Clone(), core.At(vnet.SiteID(origin)))
 		if guarded {
 			m.releaseBehind(ctx, bc, id)
 		}
@@ -365,7 +342,7 @@ func (m *Manager) advance(ctx context.Context, bc *folder.Briefcase, id string, 
 		// Nothing left alive: deliver what we have, flagged.
 		origin, _ := bc.GetString(OriginFolder)
 		bc.Ensure(folder.ErrorFolder).PushString(ErrAllDead.Error())
-		err := m.site.RemoteMeet(ctx, vnet.SiteID(origin), AgHome, bc.Clone())
+		err := m.site.Meet(ctx, AgHome, bc.Clone(), core.At(vnet.SiteID(origin)))
 		if guarded {
 			m.releaseBehind(ctx, bc, id)
 		}
@@ -389,7 +366,7 @@ func (m *Manager) advance(ctx context.Context, bc *folder.Briefcase, id string, 
 	site := m.site
 	moveBC := bc.Clone()
 	site.Go(func() {
-		if err := site.RemoteMeet(ctx, dest, AgHop, moveBC); err != nil {
+		if err := site.Meet(ctx, AgHop, moveBC, core.At(dest)); err != nil {
 			// The handoff failed after the ping said the site was alive.
 			// The guard armed above (or an earlier one) will relaunch.
 			site.Cabinet().AppendString("LOG",
@@ -421,7 +398,7 @@ func (m *Manager) releaseAt(ctx context.Context, gsite, gkey, id string) {
 	rel.PutString(hopOfGuard, gkey)
 	site := m.site
 	site.Go(func() {
-		_ = site.RemoteMeet(ctx, vnet.SiteID(gsite), AgGuard, rel)
+		_ = site.Meet(ctx, AgGuard, rel, core.At(vnet.SiteID(gsite)))
 	})
 }
 
@@ -585,7 +562,7 @@ func (m *Manager) relaunch(g *guard) {
 		site := m.site
 		launch := bc.Clone()
 		site.Go(func() {
-			_ = site.RemoteMeet(ctx, vnet.SiteID(cand), AgHop, launch)
+			_ = site.Meet(ctx, AgHop, launch, core.At(vnet.SiteID(cand)))
 		})
 		return
 	}
@@ -595,7 +572,7 @@ func (m *Manager) relaunch(g *guard) {
 	site := m.site
 	final := bc.Clone()
 	site.Go(func() {
-		_ = site.RemoteMeet(ctx, vnet.SiteID(origin), AgHome, final)
+		_ = site.Meet(ctx, AgHome, final, core.At(vnet.SiteID(origin)))
 	})
 	g.release()
 	m.mu.Lock()

@@ -1,6 +1,7 @@
 package rearguard
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -322,7 +323,7 @@ func TestDuplicateHomeDeliveriesCollapsed(t *testing.T) {
 	}
 	// Manual duplicate delivery.
 	dupBC := res.Briefcase.Clone()
-	if err := sys.SiteAt(0).MeetClient(context.Background(), AgHome, dupBC); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgHome, dupBC); err != nil {
 		t.Fatalf("duplicate home delivery errored: %v", err)
 	}
 }
@@ -330,14 +331,14 @@ func TestDuplicateHomeDeliveriesCollapsed(t *testing.T) {
 func TestGuardReleaseOpValidation(t *testing.T) {
 	sys, _ := testRig(t, 1)
 	bad := folder.NewBriefcase()
-	if err := sys.SiteAt(0).MeetClient(context.Background(), AgGuard, bad); err == nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgGuard, bad); err == nil {
 		t.Fatal("missing op accepted")
 	}
 	bad2 := folder.NewBriefcase()
 	bad2.PutString(opFolder, "explode")
 	bad2.PutString(IDFolder, "x")
 	bad2.PutString(hopOfGuard, "0")
-	if err := sys.SiteAt(0).MeetClient(context.Background(), AgGuard, bad2); err == nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), AgGuard, bad2); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }
@@ -545,16 +546,16 @@ func TestGuardCheckpointPersistedAndRecovered(t *testing.T) {
 	})
 }
 
-// TestCheckpointFormats pins the checkpoint wire format: persistGuard
-// writes the five-element v2 folder (tail = park descriptor), and Recover
-// accepts both v2 and the legacy four-element folder a pre-scheduler
-// release persisted.
+// TestCheckpointFormats pins the checkpoint layout — id, hop, watched
+// site, encoded briefcase, nothing else — and checks that a resident
+// (parked) agent's checkpoint recovers into a guard whose briefcase still
+// carries its park continuation, so a relaunch restarts it as the parked
+// agent it was.
 func TestCheckpointFormats(t *testing.T) {
 	sys, managers := testRig(t, 2)
 	m := managers[1]
 	cab := sys.SiteAt(1).Cabinet()
 
-	// A parked agent's briefcase checkpoints with its descriptor in tow.
 	parked := folder.NewBriefcase()
 	parked.PutString(core.ParkNameFolder, "sensor-7")
 	parked.PutString(core.ParkWatchFolder, "MBOX:sensor-7")
@@ -562,35 +563,36 @@ func TestCheckpointFormats(t *testing.T) {
 	m.persistGuard(&guard{id: "fmt-1", hop: 2, watch: "site-0", bc: parked})
 	m.mu.Unlock()
 	f := cab.Snapshot(ArmFolderPrefix + "fmt-1/2")
-	if f.Len() != 5 {
-		t.Fatalf("checkpoint has %d elements, want 5", f.Len())
+	if f.Len() != 4 {
+		t.Fatalf("checkpoint has %d elements, want 4", f.Len())
 	}
-	if desc, _ := f.StringAt(4); desc != "name=sensor-7;watch=MBOX:sensor-7" {
-		t.Fatalf("park descriptor = %q", desc)
+	for i, want := range []string{"fmt-1", "2", "site-0"} {
+		if got, _ := f.StringAt(i); got != want {
+			t.Fatalf("element %d = %q, want %q", i, got, want)
+		}
 	}
-	if desc := ParkDescriptor(folder.NewBriefcase()); desc != "" {
-		t.Fatalf("never-parked briefcase has descriptor %q", desc)
+	if enc, _ := f.At(3); !bytes.Equal(enc, folder.EncodeBriefcase(parked)) {
+		t.Fatal("element 3 is not the encoded briefcase")
 	}
-	cab.Delete(ArmFolderPrefix + "fmt-1/2")
 
-	// A legacy four-element checkpoint (no descriptor) still recovers.
-	legacy := folder.New()
-	legacy.PushString("legacy-1")
-	legacy.PushString("1")
-	legacy.PushString("site-0")
-	legacy.PushOwned(folder.EncodeBriefcase(folder.NewBriefcase()))
-	cab.Put(ArmFolderPrefix+"legacy-1/1", legacy)
 	if n := m.Recover(); n != 1 {
-		t.Fatalf("Recover re-armed %d guards from a legacy checkpoint, want 1", n)
-	}
-	if m.ActiveGuards() != 1 {
-		t.Fatalf("ActiveGuards = %d", m.ActiveGuards())
+		t.Fatalf("Recover re-armed %d guards, want 1", n)
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	g := m.guards[guardKey("fmt-1", 2)]
+	if g == nil {
+		t.Fatal("recovered guard not armed")
+	}
+	if name, _ := g.bc.GetString(core.ParkNameFolder); name != "sensor-7" {
+		t.Fatalf("recovered %s = %q", core.ParkNameFolder, name)
+	}
+	if watch, _ := g.bc.GetString(core.ParkWatchFolder); watch != "MBOX:sensor-7" {
+		t.Fatalf("recovered %s = %q", core.ParkWatchFolder, watch)
+	}
 	for _, g := range m.guards {
 		g.release()
 	}
-	m.mu.Unlock()
 }
 
 // TestReleasedGuardRemovesCheckpoint: a clean journey leaves no checkpoint

@@ -128,7 +128,7 @@ func (w *WAL) finishCompaction(seq uint64, snapBytes int64, ok bool) {
 }
 
 // writeSnapshot durably writes snapshot seq via the shared atomic-write
-// discipline (WriteFileAtomic), which tacomad's cabinet flush uses too.
+// discipline (WriteFileAtomic).
 func (w *WAL) writeSnapshot(seq uint64, b *folder.Briefcase) error {
 	enc := appendFileHeader(make([]byte, 0, fileHdrSize+folder.EncodedSize(b)), snapMagic, seq)
 	enc = folder.AppendBriefcase(enc, b)

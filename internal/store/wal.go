@@ -207,18 +207,12 @@ func Open(dir string, cab *folder.FileCabinet, opt Options) (*WAL, error) {
 	return w, nil
 }
 
-// SyncDir fsyncs a directory so a just-created or just-renamed entry
-// survives a crash. Platforms that refuse directory syncs are tolerated
-// (see fsync_other.go); exported so other atomic-rename writers (tacomad's
-// cabinet flush) share one platform-aware implementation.
-func SyncDir(dir string) error { return syncDir(dir) }
-
 // WriteFileAtomic writes a file with the crash-safe discipline the engine
 // uses for snapshots: temp file, write, fdatasync, rename, parent-directory
 // fsync — a crash leaves either the old file or the new, never a
 // half-written one. sync=false skips both syncs (throwaway/test data). The
-// temp file is removed on every failure path. Exported so tacomad's cabinet
-// flush shares this implementation instead of hand-rolling the sequence.
+// temp file is removed on every failure path. WAL snapshots and the replica
+// both write through it.
 func WriteFileAtomic(path string, sync bool, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)

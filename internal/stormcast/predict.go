@@ -80,7 +80,7 @@ func RoamingForecast(ctx context.Context, home *core.Site, sites []vnet.SiteID,
 	}
 	bc.Put("ITIN", itin)
 	bc.Ensure(folder.CodeFolder).PushString(collectorScript)
-	if err := home.RemoteMeet(ctx, sites[0], core.AgTacl, bc); err != nil {
+	if err := home.Meet(ctx, core.AgTacl, bc, core.At(sites[0])); err != nil {
 		return Forecast{}, fmt.Errorf("stormcast: launching collector: %w", err)
 	}
 	sf, err := bc.Folder(SummaryFolder)
@@ -110,7 +110,7 @@ func CentralForecast(ctx context.Context, home *core.Site, sites []vnet.SiteID,
 		bc.PutString(OpFolder, "raw")
 		bc.PutString(TimeFolder, strconv.Itoa(t))
 		bc.PutString(WindowFolder, strconv.Itoa(window))
-		if err := home.RemoteMeet(ctx, site, AgSensor, bc); err != nil {
+		if err := home.Meet(ctx, AgSensor, bc, core.At(site)); err != nil {
 			return Forecast{}, fmt.Errorf("stormcast: central pull from %s: %w", site, err)
 		}
 		of, err := bc.Folder(ObsFolder)

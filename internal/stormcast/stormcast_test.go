@@ -102,7 +102,7 @@ func TestStormSignatureInObservations(t *testing.T) {
 func TestSensorAgentRaw(t *testing.T) {
 	f := testField(t, 2, 2)
 	bc := coreBC("raw", 5, 3)
-	if err := f.Home.RemoteMeet(context.Background(), f.Sites[0], AgSensor, bc); err != nil {
+	if err := f.Home.Meet(context.Background(), AgSensor, bc, core.At(f.Sites[0])); err != nil {
 		t.Fatal(err)
 	}
 	obs, err := bc.Folder(ObsFolder)
@@ -121,7 +121,7 @@ func TestSensorAgentRaw(t *testing.T) {
 func TestSensorAgentSummary(t *testing.T) {
 	f := testField(t, 2, 2)
 	bc := coreBC("summary", 8, 6)
-	if err := f.Home.RemoteMeet(context.Background(), f.Sites[3], AgSensor, bc); err != nil {
+	if err := f.Home.Meet(context.Background(), AgSensor, bc, core.At(f.Sites[3])); err != nil {
 		t.Fatal(err)
 	}
 	sf, err := bc.Folder(SummaryFolder)
@@ -139,16 +139,16 @@ func TestSensorAgentErrors(t *testing.T) {
 		func() error { // missing OP
 			bc := coreBC("", 1, 1)
 			bc.Delete(OpFolder)
-			return f.Home.RemoteMeet(context.Background(), f.Sites[0], AgSensor, bc)
+			return f.Home.Meet(context.Background(), AgSensor, bc, core.At(f.Sites[0]))
 		},
 		func() error { // missing T
 			bc := coreBC("raw", 1, 1)
 			bc.Delete(TimeFolder)
-			return f.Home.RemoteMeet(context.Background(), f.Sites[0], AgSensor, bc)
+			return f.Home.Meet(context.Background(), AgSensor, bc, core.At(f.Sites[0]))
 		},
 		func() error { // bad op
 			bc := coreBC("explode", 1, 1)
-			return f.Home.RemoteMeet(context.Background(), f.Sites[0], AgSensor, bc)
+			return f.Home.Meet(context.Background(), AgSensor, bc, core.At(f.Sites[0]))
 		},
 	}
 	for i, c := range cases {

@@ -38,8 +38,8 @@ var ErrAuth = errors.New("vnet: authentication failed")
 // dies (peer restart, idle reset) fails its in-flight calls and is redialed
 // on the next Call.
 //
-// Pipelined frame layout, all variable parts uvarint-length-prefixed and the
-// id a bare uvarint:
+// Frame layout, all variable parts uvarint-length-prefixed and the id a bare
+// uvarint:
 //
 //	request  := 'q' id from kind payload
 //	response := 'r' id status(1: 0=ok, 1=error) payload-or-error-text
@@ -56,10 +56,7 @@ var ErrAuth = errors.New("vnet: authentication failed")
 // replayed against a later call. An endpoint with a key refuses plain 'q'
 // frames and requests whose MAC does not verify — this is the firewall
 // handshake at the transport layer, below the site-level briefcase checks.
-//
-// The server side also still accepts the legacy single-shot 'Q'/'A' frames
-// (one request, one 'R'/'S' response) used by older clients and by
-// hand-crafted probes; they share the same auth rules.
+// Any other request tag ends the connection unanswered.
 type TCPEndpoint struct {
 	id          SiteID
 	incarnation int64
@@ -502,14 +499,13 @@ func (ep *TCPEndpoint) acceptLoop() {
 
 // request is one decoded inbound request frame.
 type request struct {
-	pipelined bool // 'q'/'a' (id-tagged, stream stays open) vs legacy 'Q'/'A'
-	authed    bool // 'a'/'A'
-	id        uint64
-	from      []byte
-	nonce     []byte
-	kind      []byte
-	payload   []byte
-	mac       []byte
+	authed  bool // 'a'
+	id      uint64
+	from    []byte
+	nonce   []byte
+	kind    []byte
+	payload []byte
+	mac     []byte
 }
 
 // readRequest parses one request frame, returning io.EOF-ish errors when the
@@ -519,23 +515,12 @@ func readRequest(r *bufio.Reader) (*request, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &request{}
-	switch tag {
-	case 'Q':
-	case 'A':
-		req.authed = true
-	case 'q':
-		req.pipelined = true
-	case 'a':
-		req.pipelined = true
-		req.authed = true
-	default:
+	if tag != 'q' && tag != 'a' {
 		return nil, fmt.Errorf("vnet: unknown frame tag %q", tag)
 	}
-	if req.pipelined {
-		if req.id, err = binary.ReadUvarint(r); err != nil {
-			return nil, err
-		}
+	req := &request{authed: tag == 'a'}
+	if req.id, err = binary.ReadUvarint(r); err != nil {
+		return nil, err
 	}
 	if req.from, err = readChunk(r); err != nil {
 		return nil, err
@@ -560,10 +545,9 @@ func readRequest(r *bufio.Reader) (*request, error) {
 }
 
 // serveConn serves one inbound connection: a loop over request frames.
-// Legacy clients send a single frame and close; pipelined clients keep the
-// stream open and may have several requests outstanding, each answered —
-// possibly out of order — through the connection's coalescing writer, so
-// responses that finish together leave in one flush.
+// Clients keep the stream open and may have several requests outstanding,
+// each answered — possibly out of order — through the connection's
+// coalescing writer, so responses that finish together leave in one flush.
 func (ep *TCPEndpoint) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	// A response write error means the client is gone (or stopped reading
@@ -576,20 +560,16 @@ func (ep *TCPEndpoint) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if req.pipelined {
-			// Pipelined requests are served concurrently: a slow meet must
-			// not head-of-line-block the responses of later requests on the
-			// same stream.
-			handlers.Add(1)
-			ep.wg.Add(1)
-			go func() {
-				defer handlers.Done()
-				defer ep.wg.Done()
-				ep.serveRequest(req, cw)
-			}()
-			continue
-		}
-		ep.serveRequest(req, cw)
+		// Requests are served concurrently: a slow meet must not
+		// head-of-line-block the responses of later requests on the same
+		// stream.
+		handlers.Add(1)
+		ep.wg.Add(1)
+		go func() {
+			defer handlers.Done()
+			defer ep.wg.Done()
+			ep.serveRequest(req, cw)
+		}()
 	}
 }
 
@@ -624,36 +604,25 @@ func (ep *TCPEndpoint) serveRequest(req *request, cw *connWriter) {
 		}
 	}
 
+	authed := req.authed && key != nil
 	buf := getFrame()
-	switch {
-	case req.pipelined && req.authed && key != nil:
+	if authed {
 		buf = append(buf, 's')
-		buf = binary.AppendUvarint(buf, req.id)
-		buf = append(buf, status)
-		buf = appendChunk(buf, resp)
-		buf = appendChunk(buf, frameMAC(key, "presp", uvarintBytes(req.id), req.nonce, []byte{status}, resp))
-	case req.pipelined:
+	} else {
 		buf = append(buf, 'r')
-		buf = binary.AppendUvarint(buf, req.id)
-		buf = append(buf, status)
-		buf = appendChunk(buf, resp)
-	case req.authed && key != nil:
-		buf = append(buf, 'S', status)
-		buf = appendChunk(buf, resp)
-		buf = appendChunk(buf, frameMAC(key, "resp", req.nonce, []byte{status}, resp))
-	default:
-		buf = append(buf, 'R', status)
-		buf = appendChunk(buf, resp)
+	}
+	buf = binary.AppendUvarint(buf, req.id)
+	buf = append(buf, status)
+	buf = appendChunk(buf, resp)
+	if authed {
+		buf = appendChunk(buf, frameMAC(key, "presp", uvarintBytes(req.id), req.nonce, []byte{status}, resp))
 	}
 	cw.enqueue(buf, nil, time.Time{})
 }
 
 // requestMAC computes the expected MAC for an inbound authenticated request.
 func (ep *TCPEndpoint) requestMAC(key []byte, req *request) []byte {
-	if req.pipelined {
-		return frameMAC(key, "preq", uvarintBytes(req.id), req.from, req.nonce, req.kind, req.payload)
-	}
-	return frameMAC(key, "req", req.from, req.nonce, req.kind, req.payload)
+	return frameMAC(key, "preq", uvarintBytes(req.id), req.from, req.nonce, req.kind, req.payload)
 }
 
 // rpcResult is one demultiplexed response frame (or a connection error).

@@ -3,10 +3,13 @@ package vnet
 import (
 	"bufio"
 	"context"
+	"crypto/hmac"
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
 	"testing"
+	"time"
 )
 
 func echoHandlerFor(t *testing.T) HandlerFunc {
@@ -107,34 +110,44 @@ func TestTCPAuthTamperedPayloadRejected(t *testing.T) {
 	}
 }
 
+// rawExchange writes frame on a fresh connection to ep and returns a reader
+// over the server's reply stream.
+func rawExchange(t *testing.T, ep *TCPEndpoint, frame []byte) *bufio.Reader {
+	t.Helper()
+	conn, err := net.Dial("tcp", ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	return bufio.NewReader(conn)
+}
+
 func TestTCPAuthReplayRejected(t *testing.T) {
 	secret := []byte("shared cluster secret")
 	_, b := authPair(t, secret, secret)
 
 	// Hand-build one authenticated frame and send the identical bytes
 	// twice — a recorded-and-replayed request.
-	frame := func() []byte {
-		nonce := []byte("0123456789abcdef")
-		buf := []byte{'A'}
-		buf = appendChunk(buf, []byte("a"))
-		buf = appendChunk(buf, nonce)
-		buf = appendChunk(buf, []byte("k"))
-		buf = appendChunk(buf, []byte("payload"))
-		buf = appendChunk(buf, frameMAC(secret, "req", []byte("a"), nonce, []byte("k"), []byte("payload")))
-		return buf
-	}()
+	const id = 7
+	nonce := []byte("0123456789abcdef")
+	frame := []byte{'a'}
+	frame = binary.AppendUvarint(frame, id)
+	frame = appendChunk(frame, []byte("a"))
+	frame = appendChunk(frame, nonce)
+	frame = appendChunk(frame, []byte("k"))
+	frame = appendChunk(frame, []byte("payload"))
+	frame = appendChunk(frame, frameMAC(secret, "preq", uvarintBytes(id), []byte("a"), nonce, []byte("k"), []byte("payload")))
 	send := func() (byte, string) {
-		conn, err := net.Dial("tcp", b.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		r := bufio.NewReader(conn)
-		if tag, err := r.ReadByte(); err != nil || tag != 'S' {
+		r := rawExchange(t, b, frame)
+		if tag, err := r.ReadByte(); err != nil || tag != 's' {
 			t.Fatalf("tag %q err %v", tag, err)
+		}
+		if got, err := binary.ReadUvarint(r); err != nil || got != id {
+			t.Fatalf("id %d err %v", got, err)
 		}
 		status, err := r.ReadByte()
 		if err != nil {
@@ -143,6 +156,13 @@ func TestTCPAuthReplayRejected(t *testing.T) {
 		body, err := readChunk(r)
 		if err != nil {
 			t.Fatal(err)
+		}
+		mac, err := readChunk(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hmac.Equal(mac, frameMAC(secret, "presp", uvarintBytes(id), nonce, []byte{status}, body)) {
+			t.Fatal("response MAC does not verify")
 		}
 		return status, string(body)
 	}
@@ -153,6 +173,34 @@ func TestTCPAuthReplayRejected(t *testing.T) {
 	if status == 0 || !strings.Contains(body, "replayed") {
 		t.Fatalf("replay accepted: status=%d body=%q", status, body)
 	}
+}
+
+// TestTCPUnknownFrameTagsDropped: a request with any tag but 'q'/'a' —
+// including 'Q'/'A', the retired single-shot frames — gets no answer; the
+// server closes the connection.
+func TestTCPUnknownFrameTagsDropped(t *testing.T) {
+	secret := []byte("shared cluster secret")
+	open, _ := authPair(t, nil, nil)
+	_, keyed := authPair(t, secret, secret)
+	nonce := []byte("0123456789abcdef")
+	single := func(tag byte, ep *TCPEndpoint, authed bool) {
+		frame := []byte{tag}
+		frame = appendChunk(frame, []byte("a"))
+		if authed {
+			frame = appendChunk(frame, nonce)
+		}
+		frame = appendChunk(frame, []byte("k"))
+		frame = appendChunk(frame, []byte("payload"))
+		if authed {
+			frame = appendChunk(frame, frameMAC(secret, "req", []byte("a"), nonce, []byte("k"), []byte("payload")))
+		}
+		if tag, err := rawExchange(t, ep, frame).ReadByte(); err == nil {
+			t.Errorf("frame %q answered with tag %q", frame[0], tag)
+		}
+	}
+	single('Q', open, false)
+	single('A', keyed, true)
+	single('x', open, false)
 }
 
 func TestTCPAuthKeyRemovalRestoresOpenProtocol(t *testing.T) {

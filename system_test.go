@@ -75,7 +75,7 @@ func TestWeatherMarketplaceEndToEnd(t *testing.T) {
 	placeReq := folder.NewBriefcase()
 	placeReq.PutString(broker.OpFolder, "lookup")
 	placeReq.PutString(broker.ServiceFolder, "forecast")
-	if err := home.RemoteMeet(ctx, town.ID(), broker.AgBroker, placeReq); err != nil {
+	if err := home.Meet(ctx, broker.AgBroker, placeReq, core.At(town.ID())); err != nil {
 		t.Fatal(err)
 	}
 	providers, err := placeReq.Folder(broker.ProvidersFolder)

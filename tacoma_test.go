@@ -66,7 +66,7 @@ func TestFacadeNativeAgent(t *testing.T) {
 	bc := NewBriefcase()
 	bc.PutString("A", "1")
 	bc.PutString("B", "2")
-	if err := sys.SiteAt(0).MeetClient(context.Background(), "adder", bc); err != nil {
+	if err := sys.SiteAt(0).Meet(context.Background(), "adder", bc); err != nil {
 		t.Fatal(err)
 	}
 	if res, _ := bc.GetString(ResultFolder); res != "1+2" {
@@ -185,7 +185,7 @@ func TestFacadeUnifiedMeet(t *testing.T) {
 	if at, _ := bc.GetString("AT"); at != "site-0" {
 		t.Fatalf("Async ran at %q", at)
 	}
-	if st := a.WireStats(); st.MeetsV2+st.MeetsV1 == 0 {
+	if st := a.WireStats(); st.MeetsV2 == 0 {
 		t.Fatalf("WireStats = %+v, expected a sent meet", st)
 	}
 }
