@@ -11,53 +11,75 @@ import (
 	"repro/internal/folder"
 )
 
-// TestWriteFileAtomic pins the atomic-write discipline WAL snapshots and
-// the replica rely on: a write leaves no temp residue and a loadable file,
-// a second write renames over the first, and a failing write callback
-// leaves the old file intact and removes its temp file.
-func TestWriteFileAtomic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cabinet.bin")
-	flush := func(cab *folder.FileCabinet) error {
-		return WriteFileAtomic(path, true, func(w io.Writer) error { return cab.Flush(w) })
-	}
-	load := func() *folder.FileCabinet {
-		t.Helper()
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		cab := folder.NewCabinet()
-		if err := cab.Load(f); err != nil {
-			t.Fatal(err)
-		}
-		return cab
-	}
-	noResidue := func() {
-		t.Helper()
-		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-			t.Fatalf("temp file left behind: %v", err)
-		}
-	}
+// writeCabinet writes cab's image to path via WriteFileAtomic.
+func writeCabinet(path string, cab *folder.FileCabinet) error {
+	return WriteFileAtomic(path, true, func(w io.Writer) error { return cab.Flush(w) })
+}
 
-	cab := folder.NewCabinet()
-	cab.AppendString("MBOX:alice", "a message")
-	cab.AppendString("K", "v")
-	if err := flush(cab); err != nil {
+// loadCabinet reads a cabinet image written by writeCabinet.
+func loadCabinet(t *testing.T, path string) *folder.FileCabinet {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	noResidue()
-	if got := load(); !got.ContainsString("MBOX:alice", "a message") || got.FolderLen("K") != 1 {
-		t.Fatal("cabinet image lost folders across write/load")
+	defer f.Close()
+	cab := folder.NewCabinet()
+	if err := cab.Load(f); err != nil {
+		t.Fatal(err)
 	}
+	return cab
+}
+
+// noTempResidue fails the test if an atomic write left its temp file.
+func noTempResidue(t *testing.T, path string) {
+	t.Helper()
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
+}
+
+// TestWriteFileAtomicRoundTrip: a cabinet image written atomically leaves
+// no temp residue and loads back with every folder intact.
+func TestWriteFileAtomicRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cabinet.bin")
+	cab := folder.NewCabinet()
+	cab.AppendString("MBOX:alice", "a message")
+	cab.AppendString("VISITED", "roamer-1")
+	if err := writeCabinet(path, cab); err != nil {
+		t.Fatal(err)
+	}
+	noTempResidue(t, path)
+
+	got := loadCabinet(t, path)
+	if !got.ContainsString("MBOX:alice", "a message") {
+		t.Fatal("mailbox lost across write/load")
+	}
+	if !got.ContainsString("VISITED", "roamer-1") {
+		t.Fatal("visit marks lost across write/load")
+	}
+}
+
+// TestWriteFileAtomicFsyncPath pins the atomic-write discipline WAL
+// snapshots and the replica rely on: a write leaves no temp residue, a
+// second write renames over the first, and a failing write callback
+// leaves the old file intact and removes its temp file.
+func TestWriteFileAtomicFsyncPath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cabinet.bin")
+	cab := folder.NewCabinet()
+	cab.AppendString("K", "v")
+	if err := writeCabinet(path, cab); err != nil {
+		t.Fatal(err)
+	}
+	noTempResidue(t, path)
 
 	// Rename over an existing file.
 	cab.AppendString("K", "v2")
-	if err := flush(cab); err != nil {
+	if err := writeCabinet(path, cab); err != nil {
 		t.Fatal(err)
 	}
-	noResidue()
-	if n := load().FolderLen("K"); n != 2 {
+	noTempResidue(t, path)
+	if n := loadCabinet(t, path).FolderLen("K"); n != 2 {
 		t.Fatalf("overwritten image has K of %d elements, want 2", n)
 	}
 
@@ -74,7 +96,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the callback's error", err)
 	}
-	noResidue()
+	noTempResidue(t, path)
 	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
