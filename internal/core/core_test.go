@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -377,5 +378,58 @@ func TestSystemWaitQuiesces(t *testing.T) {
 	case <-done:
 	default:
 		t.Fatal("Wait returned before detached work finished")
+	}
+}
+
+// waitBlocked reports whether some goroutine is blocked inside
+// System.Wait's quiescence of a site.
+func waitBlocked() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "sched.(*Scheduler).Quiesce(") && strings.Contains(g, "core.(*System).Wait(") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSystemWaitSeesWorkOnWaitedSite is the regression test for a Wait that
+// quiesced each site once, in order: work on site-1 spawns detached work
+// onto site-0 after Wait has already quiesced site-0, and Wait must still
+// not return before that work has run.
+func TestSystemWaitSeesWorkOnWaitedSite(t *testing.T) {
+	sys := testSystem(t, 2)
+	gate, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce) // runs before testSystem's Wait, even on failure
+	var ran bool
+	sys.SiteAt(1).Go(func() {
+		<-gate
+		sys.SiteAt(0).Go(func() {
+			<-release
+			ran = true
+		})
+	})
+	waited := make(chan struct{})
+	go func() {
+		sys.Wait()
+		close(waited)
+	}()
+	// Site-0 is idle, so a Wait blocked in a quiesce is blocked on site-1:
+	// it has already passed site-0.
+	for !waitBlocked() {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	select {
+	case <-waited:
+		t.Fatal("Wait returned while detached work on site-0 was still pending")
+	case <-time.After(100 * time.Millisecond):
+	}
+	releaseOnce()
+	<-waited
+	if !ran {
+		t.Fatal("Wait returned before the detached work ran")
 	}
 }

@@ -126,10 +126,21 @@ func (sys *System) Grid(w, h int) error {
 	return nil
 }
 
-// Wait quiesces all background work across the system.
+// Wait quiesces all background work across the system. Work on one site
+// can start work on a site already quiesced (a detached spawn, a remote
+// meet), so Wait repeats passes over the sites until a whole pass starts
+// no work anywhere: then every site was idle at one moment with nothing
+// left running to start more.
 func (sys *System) Wait() {
-	for _, id := range sys.order {
-		sys.Sites[id].Wait()
+	for last := ^uint64(0); ; {
+		var started uint64
+		for _, id := range sys.order {
+			started += sys.Sites[id].sched.Quiesce()
+		}
+		if started == last {
+			return
+		}
+		last = started
 	}
 }
 

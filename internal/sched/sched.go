@@ -101,9 +101,10 @@ type Scheduler struct {
 	// submits further work from goroutines the tracker does not own, so Add
 	// could race a concurrent Wait under WaitGroup rules. Quiesce returns at
 	// a moment the counter is zero.
-	wmu    sync.Mutex
-	wcond  *sync.Cond
-	inWork int
+	wmu     sync.Mutex
+	wcond   *sync.Cond
+	inWork  int
+	started uint64 // work ever started, monotonic; under wmu
 
 	submitted int64 // under mu
 	steals    int64 // under mu
@@ -172,20 +173,25 @@ func (s *Scheduler) Spawn(fn func()) {
 
 // Quiesce blocks until all submitted tasks and spawned goroutines have
 // finished. Parked agents are at rest, not in flight, and do not count.
-func (s *Scheduler) Quiesce() {
+// It returns how many tasks and spawns had ever started at that quiet
+// moment, so a caller quiescing several schedulers can tell whether work
+// started on one after it was quiesced.
+func (s *Scheduler) Quiesce() uint64 {
 	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.wcond == nil {
 		s.wcond = sync.NewCond(&s.wmu)
 	}
 	for s.inWork > 0 {
 		s.wcond.Wait()
 	}
-	s.wmu.Unlock()
+	return s.started
 }
 
 func (s *Scheduler) workAdd() {
 	s.wmu.Lock()
 	s.inWork++
+	s.started++
 	s.wmu.Unlock()
 }
 

@@ -12,7 +12,7 @@ package stormcast
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"strconv"
 	"strings"
 )
@@ -118,8 +118,10 @@ func (m Model) intensity(x, y, t int) float64 {
 
 // Observe generates the sensor reading at grid position (x,y), time t.
 func (m Model) Observe(site string, x, y, t int) Observation {
-	// Noise is keyed by position and time so repeated calls agree.
-	rng := rand.New(rand.NewSource(m.Seed ^ int64(x)<<40 ^ int64(y)<<20 ^ int64(t)))
+	// Noise is keyed by seed, position and time so repeated calls agree.
+	// PCG seeds in O(1), unlike math/rand's 607-word lagged-Fibonacci
+	// source, which cost more than the rest of a reading.
+	rng := rand.New(rand.NewPCG(uint64(m.Seed), uint64(x)<<40^uint64(y)<<20^uint64(t)))
 	inten := m.intensity(x, y, t)
 	return Observation{
 		Site: site, X: x, Y: y, T: t,

@@ -14,6 +14,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -85,10 +86,20 @@ type TCPEndpoint struct {
 	scmu   sync.Mutex
 	sconns map[net.Conn]struct{}
 
+	// work hands decoded requests to parked request workers; parked
+	// counts them (see requestWorker).
+	work   chan *request
+	parked atomic.Int32
+
 	ln     net.Listener
 	closed chan struct{}
 	wg     sync.WaitGroup
 }
+
+// maxParkedWorkers bounds how many idle request workers an endpoint keeps.
+// A worker that finishes a request while this many are already parked
+// exits; its grown stack is dropped with it.
+const maxParkedWorkers = 32
 
 var _ Endpoint = (*TCPEndpoint)(nil)
 
@@ -110,6 +121,7 @@ func NewTCPEndpoint(id SiteID, addr string) (*TCPEndpoint, error) {
 		peers:       make(map[SiteID]string),
 		pconns:      make(map[SiteID]*peerConn),
 		sconns:      make(map[net.Conn]struct{}),
+		work:        make(chan *request),
 		ln:          ln,
 		closed:      make(chan struct{}),
 	}
@@ -497,7 +509,8 @@ func (ep *TCPEndpoint) acceptLoop() {
 	}
 }
 
-// request is one decoded inbound request frame.
+// request is one decoded inbound request frame, with the connection it
+// is answered on.
 type request struct {
 	authed  bool // 'a'
 	id      uint64
@@ -506,6 +519,9 @@ type request struct {
 	kind    []byte
 	payload []byte
 	mac     []byte
+
+	cw   *connWriter     // the response goes here
+	done *sync.WaitGroup // the connection's in-flight handlers
 }
 
 // readRequest parses one request frame, returning io.EOF-ish errors when the
@@ -562,19 +578,47 @@ func (ep *TCPEndpoint) serveConn(conn net.Conn) {
 		}
 		// Requests are served concurrently: a slow meet must not
 		// head-of-line-block the responses of later requests on the same
-		// stream.
+		// stream. Dispatch never waits, so workers are not bounded (only
+		// parked ones are): a nested meet may call back into this
+		// endpoint, and a request left waiting for a busy worker could
+		// deadlock the itinerary that occupies it.
+		req.cw, req.done = cw, &handlers
 		handlers.Add(1)
-		ep.wg.Add(1)
-		go func() {
-			defer handlers.Done()
-			defer ep.wg.Done()
-			ep.serveRequest(req, cw)
-		}()
+		select {
+		case ep.work <- req:
+		default:
+			ep.wg.Add(1)
+			go ep.requestWorker(req)
+		}
+	}
+}
+
+// requestWorker serves req, then parks for further requests while fewer
+// than maxParkedWorkers are parked. A reused worker keeps the stack the
+// nested meet → VM → remote meet chain grew, instead of regrowing it on a
+// fresh goroutine for every request.
+func (ep *TCPEndpoint) requestWorker(req *request) {
+	defer ep.wg.Done()
+	for {
+		ep.serveRequest(req)
+		req.done.Done()
+		req = nil // a parked worker pins no payload or connection
+		if ep.parked.Add(1) > maxParkedWorkers {
+			ep.parked.Add(-1)
+			return
+		}
+		select {
+		case req = <-ep.work:
+			ep.parked.Add(-1)
+		case <-ep.closed:
+			ep.parked.Add(-1)
+			return
+		}
 	}
 }
 
 // serveRequest authenticates, dispatches, and answers one request frame.
-func (ep *TCPEndpoint) serveRequest(req *request, cw *connWriter) {
+func (ep *TCPEndpoint) serveRequest(req *request) {
 	ep.mu.RLock()
 	h := ep.handler
 	key := ep.authKey
@@ -617,7 +661,7 @@ func (ep *TCPEndpoint) serveRequest(req *request, cw *connWriter) {
 	if authed {
 		buf = appendChunk(buf, frameMAC(key, "presp", uvarintBytes(req.id), req.nonce, []byte{status}, resp))
 	}
-	cw.enqueue(buf, nil, time.Time{})
+	req.cw.enqueue(buf, nil, time.Time{})
 }
 
 // requestMAC computes the expected MAC for an inbound authenticated request.
