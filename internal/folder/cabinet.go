@@ -29,8 +29,8 @@ func NameHash(s string) uint32 {
 	return h
 }
 
-// cabShard is one lock stripe of a cabinet: a folder map plus the per-folder
-// element index.
+// cabShard is one lock stripe of a cabinet: a folder map plus the element
+// indexes of the folders that have been asked about.
 type cabShard struct {
 	mu      sync.RWMutex
 	folders map[string]*Folder
@@ -43,7 +43,11 @@ type cabShard struct {
 // they would make the cabinet expensive to transfer: a cabinet keeps a
 // per-folder element index keyed by element content so membership tests are
 // O(1) instead of O(n), which is what flooding agents rely on when they
-// check "was this site already visited?".
+// check "was this site already visited?". A folder's index is built on its
+// first membership query (Contains or TestAndAppend) and maintained by every
+// mutation after that, so folders used only as queues, logs or mailboxes
+// never pay for hashing their elements. Put and Load drop a folder's index;
+// the next query rebuilds it.
 //
 // Cabinets are shared by every agent executing at a site and are safe for
 // concurrent use. The folder space is lock-striped by name hash, so meets
@@ -110,25 +114,71 @@ func (sh *cabShard) appendLocked(name string, e []byte) []byte {
 	if !ok {
 		f = New()
 		sh.folders[name] = f
-		sh.index[name] = make(map[string]int)
 	}
 	stored := clone(e)
 	f.PushOwned(stored)
-	sh.index[name][string(stored)]++
+	if idx, ok := sh.index[name]; ok {
+		idx[string(stored)]++
+	}
 	return stored
 }
 
+// indexLocked returns the named folder's membership index, building it on
+// the folder's first membership query. It returns nil when the folder does
+// not exist. The caller holds sh.mu for writing.
+func (sh *cabShard) indexLocked(name string) map[string]int {
+	if idx, ok := sh.index[name]; ok {
+		return idx
+	}
+	f, ok := sh.folders[name]
+	if !ok {
+		return nil
+	}
+	idx := make(map[string]int, len(f.elems))
+	for _, e := range f.elems {
+		idx[string(e)]++
+	}
+	sh.index[name] = idx
+	return idx
+}
+
+// unindexLocked drops one occurrence of e from the named folder's index, if
+// the folder has one. The caller holds sh.mu for writing.
+func (sh *cabShard) unindexLocked(name string, e []byte) {
+	idx, ok := sh.index[name]
+	if !ok {
+		return
+	}
+	if n := idx[string(e)]; n > 1 {
+		idx[string(e)] = n - 1
+	} else {
+		delete(idx, string(e))
+	}
+}
+
 // Contains reports whether the named folder holds an element equal to e.
-// The lookup uses the cabinet's index and costs O(1).
+// The lookup uses the folder's index and costs O(1); the first query on a
+// folder builds that index in O(n).
 func (c *FileCabinet) Contains(name string, e []byte) bool {
 	sh := c.shard(name)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	idx, ok := sh.index[name]
-	if !ok {
+	idx, indexed := sh.index[name]
+	if indexed {
+		found := idx[string(e)] > 0
+		sh.mu.RUnlock()
+		return found
+	}
+	_, exists := sh.folders[name]
+	sh.mu.RUnlock()
+	if !exists {
 		return false
 	}
-	return idx[string(e)] > 0
+	// First query on this folder: build its index under the write lock.
+	// indexLocked re-checks, since another query may have built the index,
+	// or the folder may have been deleted, while no lock was held.
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.indexLocked(name)[string(e)] > 0
 }
 
 // ContainsString reports whether the named folder holds the string s.
@@ -145,7 +195,11 @@ func (c *FileCabinet) TestAndAppend(name string, e []byte) bool {
 	sh := c.shard(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if idx, ok := sh.index[name]; ok && idx[string(e)] > 0 {
+	idx := sh.indexLocked(name)
+	if idx == nil {
+		// appendLocked creates the folder below; it starts indexed.
+		sh.index[name] = make(map[string]int)
+	} else if idx[string(e)] > 0 {
 		return false
 	}
 	stored := sh.appendLocked(name, e)
@@ -175,18 +229,15 @@ func (c *FileCabinet) Snapshot(name string) *Folder {
 	return f.Clone()
 }
 
-// Put replaces the named folder with a copy of f (copy-on-write).
+// Put replaces the named folder with a copy of f (copy-on-write). The
+// folder's index, if any, is dropped; the next membership query rebuilds it.
 func (c *FileCabinet) Put(name string, f *Folder) {
 	cp := f.Clone()
-	idx := make(map[string]int, cp.Len())
-	for _, e := range cp.elems {
-		idx[string(e)]++
-	}
 	sh := c.shard(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.folders[name] = cp
-	sh.index[name] = idx
+	delete(sh.index, name)
 	if j := c.journalHook(); j != nil {
 		j.RecordPut(name, cp)
 	}
@@ -207,12 +258,7 @@ func (c *FileCabinet) Dequeue(name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := sh.index[name]
-	if idx[string(e)] <= 1 {
-		delete(idx, string(e))
-	} else {
-		idx[string(e)]--
-	}
+	sh.unindexLocked(name, e)
 	if j := c.journalHook(); j != nil {
 		j.RecordDequeue(name)
 	}
@@ -233,19 +279,11 @@ func (c *FileCabinet) RemoveAt(name string, i int) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoFolder, name)
 	}
-	e, err := f.StringAt(i)
-	if err != nil {
-		return err
-	}
+	e := f.RawAt(i) // element bytes are immutable, so e outlives the removal
 	if err := f.Remove(i); err != nil {
 		return err
 	}
-	idx := sh.index[name]
-	if idx[e] <= 1 {
-		delete(idx, e)
-	} else {
-		idx[e]--
-	}
+	sh.unindexLocked(name, e)
 	if j := c.journalHook(); j != nil {
 		// Journaled as a whole-folder put: replaying the post-removal image
 		// reproduces the removal without a dedicated record type.
@@ -376,14 +414,7 @@ func (c *FileCabinet) Load(r io.Reader) error {
 	}
 	for _, name := range b.Names() {
 		f, _ := b.Folder(name)
-		cp := f.Clone()
-		idx := make(map[string]int, cp.Len())
-		for _, e := range cp.elems {
-			idx[string(e)]++
-		}
-		sh := c.shard(name)
-		sh.folders[name] = cp
-		sh.index[name] = idx
+		c.shard(name).folders[name] = f.Clone()
 	}
 	if j := c.journalHook(); j != nil {
 		// Recorded while every shard is still write-locked, so the load's

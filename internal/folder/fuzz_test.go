@@ -62,8 +62,8 @@ func FuzzDecodeBriefcase(f *testing.F) {
 
 // FuzzCabinetLoad mirrors FuzzDecodeBriefcase for the cabinet restore path
 // WAL snapshot recovery loads through: loading arbitrary bytes never panics, a failed
-// load leaves the cabinet untouched, and a successful load rebuilds a
-// membership index consistent with the folder contents and survives a
+// load leaves the cabinet untouched, and after a successful load membership
+// queries agree with the folder contents and the image survives a
 // Flush/Load round trip unchanged.
 func FuzzCabinetLoad(f *testing.F) {
 	f.Add([]byte{})

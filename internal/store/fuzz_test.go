@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"testing"
 
@@ -21,10 +20,12 @@ func cabImage(tb testing.TB, cab *folder.FileCabinet) []byte {
 }
 
 // checkIndexConsistency asserts the cabinet's O(1) membership index agrees
-// with the folder contents it was rebuilt for.
-func checkIndexConsistency(tb testing.TB, cab *folder.FileCabinet) {
+// with the folder contents: every element a folder holds is reported
+// present, and every value in used that a folder (or a folder in names that
+// does not exist) no longer holds is reported absent.
+func checkIndexConsistency(tb testing.TB, cab *folder.FileCabinet, names []string, used [][]byte) {
 	tb.Helper()
-	for _, name := range cab.Names() {
+	for _, name := range names {
 		f := cab.Snapshot(name)
 		if cab.FolderLen(name) != f.Len() {
 			tb.Fatalf("folder %q: FolderLen %d vs snapshot %d", name, cab.FolderLen(name), f.Len())
@@ -38,6 +39,15 @@ func checkIndexConsistency(tb testing.TB, cab *folder.FileCabinet) {
 				tb.Fatalf("folder %q: element %d missing from index", name, i)
 			}
 		}
+		for _, v := range used {
+			held := false
+			for i := 0; i < f.Len() && !held; i++ {
+				held = bytes.Equal(f.RawAt(i), v)
+			}
+			if !held && cab.Contains(name, v) {
+				tb.Fatalf("folder %q: index reports % x, which the folder does not hold", name, v)
+			}
+		}
 	}
 }
 
@@ -45,13 +55,16 @@ func checkIndexConsistency(tb testing.TB, cab *folder.FileCabinet) {
 // on: whatever truncation or bit damage the log suffers, Open never panics,
 // and when it succeeds the recovered cabinet is exactly the state after
 // some prefix of the originally applied mutations, with a consistent
-// membership index. (Damage behind the tail is allowed — and expected — to
-// make Open refuse instead.)
+// membership index. The index is also checked on the live cabinet after the
+// script, where TestAndAppend builds folder indexes partway through and
+// later mutations must keep them right. (Damage behind the tail is allowed —
+// and expected — to make Open refuse instead.)
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte{}, uint16(0), uint32(0), false, false)
 	f.Add([]byte{0, 1, 2, 1, 2, 3, 2, 3, 4, 3, 4, 5, 4, 5, 6}, uint16(9), uint32(77), true, false)
 	f.Add([]byte{4, 0, 9, 4, 0, 9, 0, 1, 1, 2, 1, 0, 3, 2, 0}, uint16(30), uint32(12), false, true)
 	f.Add([]byte{1, 1, 200, 0, 2, 100, 2, 1, 0, 3, 3, 0}, uint16(5), uint32(5), true, true)
+	f.Add([]byte{4, 0, 1, 4, 0, 1, 0, 0, 7, 2, 0, 0, 4, 1, 2}, uint16(0), uint32(0), false, false)
 	f.Fuzz(func(t *testing.T, script []byte, cut uint16, flip uint32, doCut, doFlip bool) {
 		dir := t.TempDir()
 		cab := folder.NewCabinet()
@@ -64,10 +77,13 @@ func FuzzJournalReplay(f *testing.F) {
 		// Apply a scripted mutation sequence, remembering the cabinet image
 		// after every step (torn-tail truncation must land on one of them).
 		images := [][]byte{cabImage(t, cab)}
+		names := []string{"F0", "F1", "F2", "F3"}
+		var used [][]byte
 		for i := 0; i+2 < len(script) && len(images) < 32; i += 3 {
 			op, fb, vb := script[i], script[i+1], script[i+2]
-			name := fmt.Sprintf("F%d", fb%4)
+			name := names[fb%4]
 			val := []byte{vb, fb, op}
+			used = append(used, val, []byte{op, vb})
 			switch op % 5 {
 			case 0:
 				cab.Append(name, val)
@@ -82,6 +98,7 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 			images = append(images, cabImage(t, cab))
 		}
+		checkIndexConsistency(t, cab, names, used)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +129,7 @@ func FuzzJournalReplay(f *testing.F) {
 		got := cabImage(t, cab2)
 		for _, im := range images {
 			if bytes.Equal(got, im) {
-				checkIndexConsistency(t, cab2)
+				checkIndexConsistency(t, cab2, names, used)
 				return
 			}
 		}
