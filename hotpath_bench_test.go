@@ -10,12 +10,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/folder"
+	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/vnet"
 )
@@ -274,4 +276,75 @@ func BenchmarkDurableMeet(b *testing.B) {
 			wg.Wait()
 		})
 	}
+}
+
+// BenchmarkAsyncDurableMeet measures the durable courier shape: one client
+// keeps 16 async meets in flight on a WAL cabinet, each appending a 64-byte
+// element to one of 64 mailboxes and draining the oldest once the mailbox
+// holds 64. The WAL skips fdatasync (NoSync), so the numbers show the
+// kernel's commit path rather than the disk; syncs/op is the barriers
+// issued per meet, the inverse of how many async meets one barrier covers.
+func BenchmarkAsyncDurableMeet(b *testing.B) {
+	const outstanding, boxes, depth = 16, 64, 64
+	sys := core.NewSystem(1, core.SystemConfig{Seed: 7})
+	s := sys.SiteAt(0)
+	wal, err := store.Open(b.TempDir(), s.Cabinet(), store.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer wal.Close()
+	s.SetDurable(wal)
+	s.Register("deliver", core.AgentFunc(func(mc *core.MeetContext, bc *folder.Briefcase) error {
+		box, err := bc.GetString("BOX")
+		if err != nil {
+			return err
+		}
+		elem, err := bc.Folder("PAYLOAD")
+		if err != nil {
+			return err
+		}
+		cab := mc.Site.Cabinet()
+		cab.Append(box, elem.RawAt(0))
+		if cab.FolderLen(box) > depth {
+			_, err = cab.Dequeue(box)
+		}
+		return err
+	}))
+	var slots [outstanding]struct {
+		h  *sched.Handle
+		bc *folder.Briefcase
+	}
+	for i := range slots {
+		slots[i].bc = folder.NewBriefcase()
+		p := folder.New()
+		p.Push(bytes.Repeat([]byte("p"), 64))
+		slots[i].bc.Put("PAYLOAD", p)
+	}
+	ctx := context.Background()
+	syncs0 := wal.Stats().Syncs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sl := &slots[i%outstanding]
+		if sl.h != nil {
+			if err := sl.h.Wait(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sl.h = new(sched.Handle)
+		sl.bc.PutString("BOX", "MBOX:"+strconv.Itoa(i%boxes))
+		if err := s.Meet(ctx, "deliver", sl.bc, core.Async(sl.h)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range slots {
+		if h := slots[i].h; h != nil {
+			if err := h.Wait(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(wal.Stats().Syncs-syncs0)/float64(b.N), "syncs/op")
+	s.Wait()
 }

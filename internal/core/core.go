@@ -74,6 +74,11 @@ type MeetContext struct {
 	Agent string
 	// Depth counts transitive meets.
 	Depth int
+
+	// commitLater marks a local depth-0 Async meet on a durable site: the
+	// meet skips its inline durability barrier and its task hands the
+	// handle to the site's shared commit instead (see queueCommit).
+	commitLater bool
 }
 
 // child derives the context for a nested meet.
@@ -190,6 +195,15 @@ type Site struct {
 	// resumer is the site's sched.Resumer identity, allocated once so every
 	// Park call registers the same adapter.
 	resumer parkResumer
+
+	// The shared commit of local async meets (see queueCommit): commits
+	// holds finished meets awaiting their durability barrier, committing
+	// says a commit loop is running. Guarded by commitMu. commitSpare is
+	// the last batch's emptied slice, owned by the running commit loop.
+	commitMu    sync.Mutex
+	commits     []pendingCommit
+	committing  bool
+	commitSpare []pendingCommit
 }
 
 // peerWire is this site's wire-protocol state for one peer.
@@ -352,19 +366,24 @@ func (s *Site) Cabinet() *folder.FileCabinet { return s.cabinet }
 
 // CommitSyncer is the durability barrier of a write-ahead-logged cabinet
 // (store.WAL implements it). Sync returns once every cabinet mutation
-// recorded before the call is on stable storage.
+// recorded before the call is on stable storage. It is called concurrently:
+// from synchronous meets, from parked-agent resumes, and from the site's
+// shared commit of async meets.
 type CommitSyncer interface {
 	Sync() error
 }
 
-// SetDurable marks the site's cabinet as durable: cs.Sync() is invoked at
-// the end of every depth-0 meet, so a meet's caller — local client or
-// remote peer — only sees the meet complete once its cabinet effects are
-// crash-durable. Mutations inside the meet never block individually; the
-// one barrier per transaction is what lets the WAL group-commit both the
-// mutations of one meet and the barriers of concurrent meets into a single
-// fdatasync. Install it right after recovery, before the site serves
-// traffic.
+// SetDurable marks the site's cabinet as durable: every depth-0 meet ends
+// in a cs.Sync() barrier, so a meet's caller — local client or remote peer
+// — only sees the meet complete once its cabinet effects are crash-durable.
+// Mutations inside the meet never block individually; the one barrier per
+// transaction is what lets the WAL group-commit both the mutations of one
+// meet and the barriers of concurrent meets into a single fdatasync.
+// Synchronous meets run the barrier on the caller's goroutine. A local
+// Async meet does not hold its scheduler worker for it: the finished meet
+// joins the site's shared commit, where one Sync covers every async meet
+// that finished meanwhile (see queueCommit). Install it right after
+// recovery, before the site serves traffic.
 func (s *Site) SetDurable(cs CommitSyncer) { s.durablev.Store(cs) }
 
 // Durable returns the installed commit barrier, or nil.
@@ -381,6 +400,78 @@ func (s *Site) DurableSync() error {
 		return cs.Sync()
 	}
 	return nil
+}
+
+// commit ends a meet that ran at mc: a depth-0 meet on a durable site is
+// one transaction, so its cabinet mutations become durable before the
+// initiator sees it complete. Nested meets skip the barrier, and a failed
+// barrier fails the meet — the caller must not act on an acknowledgement
+// the site could forget. A meet marked commitLater leaves the barrier to
+// its Async task, which queues it for the shared commit.
+func (s *Site) commit(mc *MeetContext, err error) error {
+	if mc.Depth != 0 || mc.commitLater {
+		return err
+	}
+	if cs := s.Durable(); cs != nil {
+		err = s.commitErr(err, cs.Sync())
+	}
+	return err
+}
+
+// commitErr folds a barrier's outcome into a meet's: the agent's own error
+// wins, and a failed barrier fails an otherwise successful meet.
+func (s *Site) commitErr(err, serr error) error {
+	if serr != nil && err == nil {
+		return fmt.Errorf("core: durable commit at %s: %w", s.id, serr)
+	}
+	return err
+}
+
+// pendingCommit is a finished async meet awaiting its durability barrier.
+type pendingCommit struct {
+	h   *sched.Handle
+	err error
+}
+
+// queueCommit hands a finished local async meet to the site's shared
+// commit, starting the commit loop when none is running. The meet's worker
+// returns at once to the next queued meet instead of blocking on the WAL,
+// so one barrier covers every async meet that finished meanwhile rather
+// than at most one per scheduler worker.
+func (s *Site) queueCommit(h *sched.Handle, err error) {
+	s.commitMu.Lock()
+	s.commits = append(s.commits, pendingCommit{h, err})
+	start := !s.committing
+	s.committing = true
+	s.commitMu.Unlock()
+	if start {
+		s.sched.Spawn(s.commitLoop)
+	}
+}
+
+// commitLoop runs the shared commit until its queue is empty. Each pass
+// takes the whole queue, then calls Sync once — so the barrier begins after
+// every meet in the batch returned and covers all their mutations — and
+// only then completes the batch's handles. It runs via sched.Spawn (a sync
+// blocks on the disk), so Site.Wait covers it, and it exits when idle.
+func (s *Site) commitLoop() {
+	for {
+		s.commitMu.Lock()
+		if len(s.commits) == 0 {
+			s.committing = false
+			s.commitMu.Unlock()
+			return
+		}
+		batch := s.commits
+		s.commits = s.commitSpare[:0]
+		s.commitMu.Unlock()
+		serr := s.Durable().Sync()
+		for _, c := range batch {
+			c.h.Complete(s.commitErr(c.err, serr))
+		}
+		clear(batch)
+		s.commitSpare = batch
+	}
 }
 
 // Endpoint returns the site's network attachment.
@@ -550,14 +641,7 @@ func (s *Site) meet(mc *MeetContext, agent string, bc *folder.Briefcase) error {
 		// continuation lives here, so this site is the owner regardless of
 		// what a churning ring says.
 		if s.deliverParked(agent, bc) {
-			if mc.Depth == 0 {
-				if cs := s.Durable(); cs != nil {
-					if serr := cs.Sync(); serr != nil {
-						return fmt.Errorf("core: durable commit at %s: %w", s.id, serr)
-					}
-				}
-			}
-			return nil
+			return s.commit(mc, nil)
 		}
 		if r := s.resolver(); r != nil && !forwarded {
 			if owner, placed := r.Resolve(agent); placed && owner != s.id {
@@ -581,20 +665,7 @@ func (s *Site) meet(mc *MeetContext, agent string, bc *folder.Briefcase) error {
 	s.activations.Add(1)
 	s.running.Add(1)
 	defer s.running.Add(-1)
-	err := a.Meet(sub, bc)
-	if mc.Depth == 0 {
-		// The whole transitive meet is one transaction: its cabinet
-		// mutations become durable before the initiator sees it complete.
-		// Nested meets skip the barrier, and a failed barrier fails the
-		// meet — the caller must not act on an acknowledgement the site
-		// could forget.
-		if cs := s.Durable(); cs != nil {
-			if serr := cs.Sync(); serr != nil && err == nil {
-				err = fmt.Errorf("core: durable commit at %s: %w", s.id, serr)
-			}
-		}
-	}
-	return err
+	return s.commit(mc, a.Meet(sub, bc))
 }
 
 // remoteMeet executes the named agent at another site, sending the

@@ -54,7 +54,11 @@ func At(dest vnet.SiteID) MeetOption { return MeetOption{dest: dest} }
 // returns nil immediately, arming h to report completion (Wait/Done/Err).
 // The caller must not touch the briefcase until h completes — the meet
 // owns it in the meantime. Asynchronous meets count as site background
-// work, so Site.Wait quiesces them.
+// work, so Site.Wait quiesces them. A client's local async meet on a
+// durable site completes h only after a durability barrier that began
+// once the meet returned, but that barrier is shared: the worker queues
+// the finished meet for the site's commit loop and moves on (see
+// SetDurable).
 func Async(h *sched.Handle) MeetOption { return MeetOption{async: h} }
 
 // Deadline bounds the meet: the cancellation context expires at t. A local
@@ -108,7 +112,7 @@ func (s *Site) Meet(ctx context.Context, agent string, bc *folder.Briefcase, opt
 			// The common client remote meet goes straight to the wire.
 			return s.remoteMeet(ctx, o.dest, agent, bc)
 		}
-		mc = &MeetContext{Ctx: ctx}
+		mc = &MeetContext{Ctx: ctx, commitLater: o.async != nil && o.dest == "" && s.Durable() != nil}
 	}
 	if o.async == nil && o.deadline.IsZero() {
 		return s.meetAt(mc, o.dest, agent, bc)
@@ -129,6 +133,10 @@ func (s *Site) Meet(ctx context.Context, agent string, bc *folder.Briefcase, opt
 	s.sched.Submit(agent, func() {
 		err := s.meetAt(mc, o.dest, agent, bc)
 		cancel()
+		if mc.commitLater {
+			s.queueCommit(h, err)
+			return
+		}
 		h.Complete(err)
 	})
 	return nil
